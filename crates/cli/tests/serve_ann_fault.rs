@@ -10,8 +10,7 @@
 //! four checkpoint loads, so the initial load (op 1) and the final reload
 //! succeed while the op-2 reload is truncated mid-read.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -25,22 +24,10 @@ fn fixture(dir: &Path) -> PathBuf {
 }
 
 fn http(addr: &str, method: &str, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).ok();
-    let req = format!("{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n");
-    s.write_all(req.as_bytes()).expect("send");
-    let mut resp = String::new();
-    s.read_to_string(&mut resp).expect("response");
-    let status: u16 = resp
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {resp:?}"));
-    let body = resp
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    let addr = addr.parse().expect("socket address");
+    let resp = lrgcn_serve::chaos::request(addr, method, path, &[], b"", Duration::from_secs(10))
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+    (resp.status, resp.body)
 }
 
 fn generation(addr: &str) -> u64 {

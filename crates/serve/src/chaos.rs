@@ -9,7 +9,14 @@
 //! slowloris:<p>  trickle a request prefix, stall, then hang up
 //! torn:<p>       valid head + Content-Length, but a truncated body
 //! garbage:<p>    seeded random bytes instead of HTTP
+//! idle:<p>       valid request, read the answer, then sit on the connection
+//! halfclose:<p>  valid request, `shutdown(Write)`, then read the answer
+//! pipegarbage:<p> valid request with garbage pipelined in the same write
 //! ```
+//!
+//! The last three are the states keep-alive adds: the connection outlives
+//! a valid answer. Their valid request is owed a real response, and the
+//! client reports it like a clean request's if it is anything but 200.
 //!
 //! Clauses are checked in spec order; the first that fires wins, drawing
 //! from the same splitmix64 `(seed, clause, op)` scheme as the IO plans,
@@ -18,12 +25,16 @@
 //!
 //! [`ChaosClient`] drives one connection per call against a real server:
 //! either a clean request (status + headers parsed back) or the planned
-//! fault. The adversarial framing tests and the `bench_pr10` overload
-//! bench share it, so "the server survives hostile sockets" is exercised
-//! by the same code in both places. See DESIGN.md §14.
+//! fault. See DESIGN.md §14.
+//!
+//! [`Conn`] and [`request`] are the tree's one well-behaved HTTP client:
+//! responses are framed by `Content-Length`, never by end of stream, so
+//! they work against a keep-alive server. Every serving test and
+//! `bench_pr10` use them.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// One kind of injected connection fault.
@@ -37,6 +48,12 @@ pub enum ConnFault {
     TornFrame,
     /// Send bytes that were never HTTP.
     Garbage,
+    /// Valid request, read the answer, then hold the connection idle.
+    IdleHold,
+    /// Valid request, then close the write half before reading the answer.
+    HalfClose,
+    /// Valid request and garbage in one write: 200, then 400 and a close.
+    PipelinedGarbage,
 }
 
 impl ConnFault {
@@ -46,8 +63,19 @@ impl ConnFault {
             "slowloris" => ConnFault::SlowLoris,
             "torn" => ConnFault::TornFrame,
             "garbage" => ConnFault::Garbage,
+            "idle" => ConnFault::IdleHold,
+            "halfclose" => ConnFault::HalfClose,
+            "pipegarbage" => ConnFault::PipelinedGarbage,
             _ => return None,
         })
+    }
+
+    /// The fault starts with a valid request the server must answer.
+    fn follows_valid_request(self) -> bool {
+        matches!(
+            self,
+            ConnFault::IdleHold | ConnFault::HalfClose | ConnFault::PipelinedGarbage
+        )
     }
 }
 
@@ -109,14 +137,20 @@ impl FaultPlan {
     }
 }
 
-/// A parsed clean-request outcome: status line plus the two headers the
-/// overload contract is pinned on.
+/// A parsed response: status line, headers, body.
 #[derive(Clone, Debug)]
 pub struct ChaosResponse {
     pub status: u16,
-    /// The `Retry-After` header was present (every 503 must carry it).
-    pub retry_after: bool,
+    /// Names lowercased, values trimmed; later duplicates win.
+    pub headers: HashMap<String, String>,
     pub body: String,
+}
+
+impl ChaosResponse {
+    /// Header lookup (`name` must be lowercase).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.headers.get(name).map(String::as_str)
+    }
 }
 
 /// What one [`ChaosClient`] connection did.
@@ -124,7 +158,8 @@ pub struct ChaosResponse {
 pub enum Outcome {
     /// Clean request, complete response parsed back.
     Answered(ChaosResponse),
-    /// The planned fault was injected; the server owes us nothing.
+    /// The planned fault was injected; beyond a 200 to any valid request
+    /// it carried, the server owes us nothing.
     Faulted(ConnFault),
     /// A *clean* request failed at the transport layer — under an
     /// overload-control contract this is the outcome that must not
@@ -132,8 +167,160 @@ pub enum Outcome {
     TransportError(String),
 }
 
-/// Issues one complete request and parses the response. Standalone so
-/// tests and the bench share one definition of "a well-behaved client".
+/// One client connection carrying any number of requests, each response
+/// framed by its `Content-Length`.
+pub struct Conn {
+    addr: SocketAddr,
+    timeout: Duration,
+    stream: TcpStream,
+    /// Response bytes read past the last response returned.
+    unread: Vec<u8>,
+    /// Responses read on the current socket.
+    answered: u64,
+    /// Sockets opened so far, the first included.
+    connects: u64,
+}
+
+fn connect(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, String> {
+    let stream = TcpStream::connect_timeout(&addr, timeout).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_read_timeout(Some(timeout))
+        .and_then(|_| stream.set_write_timeout(Some(timeout)))
+        .and_then(|_| stream.set_nodelay(true))
+        .map_err(|e| format!("socket options: {e}"))?;
+    Ok(stream)
+}
+
+fn render(method: &str, path: &str, headers: &[(&str, &str)], body: &[u8]) -> Vec<u8> {
+    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: chaos\r\n");
+    for (k, v) in headers {
+        head.push_str(&format!("{k}: {v}\r\n"));
+    }
+    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+    let mut bytes = head.into_bytes();
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+impl Conn {
+    /// Connects; `timeout` bounds the connect and every later read and write.
+    pub fn open(addr: SocketAddr, timeout: Duration) -> Result<Conn, String> {
+        Ok(Conn {
+            addr,
+            timeout,
+            stream: connect(addr, timeout)?,
+            unread: Vec::new(),
+            answered: 0,
+            connects: 1,
+        })
+    }
+
+    /// How many sockets this client has opened: 1 until a reconnect.
+    pub fn connects(&self) -> u64 {
+        self.connects
+    }
+
+    /// One request, one response. A server may close an idle keep-alive
+    /// connection at any moment, so a socket that has answered before and
+    /// dies without a byte of this answer is reopened and the request sent
+    /// once more.
+    pub fn request(
+        &mut self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+    ) -> Result<ChaosResponse, String> {
+        let bytes = render(method, path, headers, body);
+        let first = self.send(&bytes).and_then(|_| self.recv());
+        if first.is_ok() || self.answered == 0 || !self.unread.is_empty() {
+            return first;
+        }
+        self.stream = connect(self.addr, self.timeout)?;
+        self.answered = 0;
+        self.connects += 1;
+        self.send(&bytes)?;
+        self.recv()
+    }
+
+    /// `GET path` with no extra headers.
+    pub fn get(&mut self, path: &str) -> Result<ChaosResponse, String> {
+        self.request("GET", path, &[], b"")
+    }
+
+    /// Writes raw bytes: pipelined requests, partial requests, garbage.
+    pub fn send(&mut self, bytes: &[u8]) -> Result<(), String> {
+        self.stream
+            .write_all(bytes)
+            .map_err(|e| format!("write: {e}"))
+    }
+
+    /// Closes the write half; responses can still be read.
+    pub fn finish_writing(&mut self) -> Result<(), String> {
+        self.stream
+            .shutdown(Shutdown::Write)
+            .map_err(|e| format!("shutdown: {e}"))
+    }
+
+    /// Reads the next response.
+    pub fn recv(&mut self) -> Result<ChaosResponse, String> {
+        let mut chunk = [0u8; 4096];
+        let (head_end, length) = loop {
+            if let Some(at) = crate::http::find_header_end(&self.unread) {
+                let head = String::from_utf8_lossy(&self.unread[..at]);
+                let length = head
+                    .lines()
+                    .filter_map(|l| l.split_once(':'))
+                    .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
+                    .and_then(|(_, v)| v.trim().parse::<usize>().ok())
+                    .ok_or_else(|| format!("response without Content-Length: {head:?}"))?;
+                if self.unread.len() >= at + 4 + length {
+                    break (at, length);
+                }
+            }
+            let n = self
+                .stream
+                .read(&mut chunk)
+                .map_err(|e| format!("read: {e}"))?;
+            if n == 0 {
+                return Err(format!(
+                    "connection closed after {} response bytes",
+                    self.unread.len()
+                ));
+            }
+            self.unread.extend_from_slice(&chunk[..n]);
+        };
+        let head = String::from_utf8_lossy(&self.unread[..head_end]).into_owned();
+        let body =
+            String::from_utf8_lossy(&self.unread[head_end + 4..head_end + 4 + length]).into_owned();
+        self.unread.drain(..head_end + 4 + length);
+        let mut lines = head.split("\r\n");
+        let status: u16 = lines
+            .next()
+            .and_then(|l| l.split(' ').nth(1))
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| format!("unparsable response {:?}", &head[..head.len().min(80)]))?;
+        let headers = lines
+            .filter_map(|l| l.split_once(':'))
+            .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
+            .collect();
+        self.answered += 1;
+        Ok(ChaosResponse {
+            status,
+            headers,
+            body,
+        })
+    }
+}
+
+/// Issues one complete request on a connection of its own
+/// (`Connection: close`) and parses the response. Standalone so tests and
+/// the bench share one definition of "a well-behaved client".
+///
+/// Returns once the server has closed its side, which it does only after
+/// the request's accounting: a caller may read the server's counters and
+/// windows straight away and find this request in them. (On a kept-alive
+/// [`Conn`] the last sample can trail the answer by a moment.)
 pub fn request(
     addr: SocketAddr,
     method: &str,
@@ -142,40 +329,13 @@ pub fn request(
     body: &[u8],
     timeout: Duration,
 ) -> Result<ChaosResponse, String> {
-    let mut stream =
-        TcpStream::connect_timeout(&addr, timeout).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .and_then(|_| stream.set_write_timeout(Some(timeout)))
-        .map_err(|e| format!("timeout: {e}"))?;
-    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: chaos\r\n");
-    for (k, v) in headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|_| stream.write_all(body))
-        .map_err(|e| format!("write: {e}"))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| format!("read: {e}"))?;
-    let text = String::from_utf8_lossy(&raw);
-    let status: u16 = text
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("unparsable response {:?}", &text[..text.len().min(80)]))?;
-    let (head, body) = text.split_once("\r\n\r\n").unwrap_or((&text, ""));
-    let retry_after = head
-        .lines()
-        .any(|l| l.to_ascii_lowercase().starts_with("retry-after:"));
-    Ok(ChaosResponse {
-        status,
-        retry_after,
-        body: body.to_string(),
-    })
+    let mut headers = headers.to_vec();
+    headers.push(("Connection", "close"));
+    let mut conn = Conn::open(addr, timeout)?;
+    let resp = conn.request(method, path, &headers, body)?;
+    let mut rest = [0u8; 64];
+    while matches!(conn.stream.read(&mut rest), Ok(n) if n > 0) {}
+    Ok(resp)
 }
 
 /// A client that interleaves clean requests with planned connection
@@ -208,64 +368,97 @@ impl ChaosClient {
     /// clean request or the fault the plan scheduled for this op.
     pub fn get(&mut self, path: &str) -> Outcome {
         self.ops += 1;
-        match self.plan.decide(self.ops) {
-            None => match request(self.addr, "GET", path, &[], b"", self.timeout) {
+        let Some(fault) = self.plan.decide(self.ops) else {
+            return match request(self.addr, "GET", path, &[], b"", self.timeout) {
                 Ok(resp) => Outcome::Answered(resp),
                 Err(e) => Outcome::TransportError(e),
-            },
-            Some(fault) => {
-                self.inject(fault, path);
-                Outcome::Faulted(fault)
-            }
+            };
+        };
+        match self.inject(fault, path) {
+            Ok(Some(resp)) if resp.status != 200 => Outcome::Answered(resp),
+            Ok(_) => Outcome::Faulted(fault),
+            Err(e) => Outcome::TransportError(format!("{fault:?}: {e}")),
         }
     }
 
-    /// Opens one connection and misbehaves per `fault`. Errors are
-    /// swallowed: a hostile client that itself hits a reset has still
-    /// delivered its hostility.
-    fn inject(&self, fault: ConnFault, path: &str) {
-        let Ok(mut stream) = TcpStream::connect_timeout(&self.addr, self.timeout) else {
-            return;
+    /// Opens one connection and misbehaves per `fault`. A fault that
+    /// replaces the request swallows its own errors (a hostile client that
+    /// hits a reset has still delivered its hostility) and returns
+    /// `Ok(None)`; a fault that follows a valid request returns that
+    /// request's answer, or the transport error that ate it.
+    fn inject(&self, fault: ConnFault, path: &str) -> Result<Option<ChaosResponse>, String> {
+        let mut conn = match Conn::open(self.addr, self.timeout) {
+            Ok(conn) => conn,
+            Err(_) if !fault.follows_valid_request() => return Ok(None),
+            Err(e) => return Err(e),
         };
-        let _ = stream.set_write_timeout(Some(self.timeout));
-        let _ = stream.set_read_timeout(Some(self.slow_hold));
+        let valid = render("GET", path, &[], b"");
         match fault {
             ConnFault::AbortMidWrite => {
-                let full = format!("GET {path} HTTP/1.1\r\nHost: chaos\r\nX-Chaos: abort\r\n\r\n");
-                let half = &full.as_bytes()[..full.len() / 2];
-                let _ = stream.write_all(half);
-                // Drop without the terminating CRLFCRLF: the server sees
-                // EOF mid-head.
+                // Dropped without the terminating CRLFCRLF: the server
+                // sees EOF mid-head.
+                let _ = conn.send(&valid[..valid.len() / 2]);
             }
             ConnFault::SlowLoris => {
                 for byte in format!("GET {path} HT").bytes() {
-                    if stream.write_all(&[byte]).is_err() {
-                        return;
+                    if conn.send(&[byte]).is_err() {
+                        return Ok(None);
                     }
                     std::thread::sleep(self.slow_hold / 12);
                 }
                 std::thread::sleep(self.slow_hold);
             }
             ConnFault::TornFrame => {
-                let head =
-                    "POST /score HTTP/1.1\r\nHost: chaos\r\nContent-Length: 64\r\n\r\n".to_string();
-                let _ = stream.write_all(head.as_bytes());
-                let _ = stream.write_all(b"{\"pairs\": [[1,");
+                let _ =
+                    conn.send(b"POST /score HTTP/1.1\r\nHost: chaos\r\nContent-Length: 64\r\n\r\n");
+                let _ = conn.send(b"{\"pairs\": [[1,");
                 // EOF with 50 advertised bytes missing.
             }
             ConnFault::Garbage => {
-                // Seeded bytes that never were HTTP; deterministic per op.
-                let mut bytes = [0u8; 256];
-                for (i, b) in bytes.iter_mut().enumerate() {
-                    *b = (unit(self.plan.seed, 0xBAD, self.ops * 256 + i as u64) * 256.0) as u8;
+                let _ = conn.send(&self.garbage::<256>());
+                // Stay connected a moment so the hang-up isn't racing the
+                // server's read of the bytes.
+                std::thread::sleep(self.slow_hold);
+            }
+            ConnFault::IdleHold => {
+                conn.send(&valid)?;
+                let resp = conn.recv()?;
+                std::thread::sleep(self.slow_hold);
+                return Ok(Some(resp));
+            }
+            ConnFault::HalfClose => {
+                conn.send(&valid)?;
+                conn.finish_writing()?;
+                return conn.recv().map(Some);
+            }
+            ConnFault::PipelinedGarbage => {
+                // Terminated like a request head, so the server can judge
+                // it at once instead of waiting for more.
+                let mut bytes = valid;
+                bytes.extend_from_slice(&self.garbage::<64>());
+                bytes.extend_from_slice(b"\r\n\r\n");
+                conn.send(&bytes)?;
+                let resp = conn.recv()?;
+                if resp.header("connection") == Some("close") {
+                    return Ok(Some(resp));
                 }
-                let _ = stream.write_all(&bytes);
-                // Read whatever the server answers (a 400) so the write
-                // isn't racing the server's reject.
-                let mut sink = [0u8; 512];
-                let _ = stream.read(&mut sink);
+                // Otherwise the garbage is owed a 400 and a close.
+                return match conn.recv() {
+                    Ok(reject) if reject.status == 400 => Ok(Some(resp)),
+                    other => Err(format!("garbage after a valid request got {other:?}")),
+                };
             }
         }
+        Ok(None)
+    }
+
+    /// Seeded bytes that never were HTTP; deterministic per op.
+    fn garbage<const N: usize>(&self) -> [u8; N] {
+        let mut bytes = [0u8; N];
+        for (i, b) in bytes.iter_mut().enumerate() {
+            *b = (unit(self.plan.seed, 0xBAD, self.ops * 256 + i as u64) * 256.0) as u8;
+        }
+        bytes
     }
 }
 
@@ -277,9 +470,12 @@ mod tests {
 
     #[test]
     fn parses_and_rejects_specs() {
-        let plan = FaultPlan::parse("abort:0.25, slowloris:0.1,torn:0.5,garbage:1.0", 7)
-            .expect("valid spec");
-        assert_eq!(plan.clauses.len(), 4);
+        let plan = FaultPlan::parse(
+            "abort:0.25, slowloris:0.1,torn:0.5,garbage:1.0,idle:0.1,halfclose:0.1,pipegarbage:0.1",
+            7,
+        )
+        .expect("valid spec");
+        assert_eq!(plan.clauses.len(), 7);
         assert!(FaultPlan::parse("", 0).expect("empty ok").clauses.is_empty());
         for bad in ["abort", "abort:2.0", "abort:x", "ddos:0.1"] {
             assert!(FaultPlan::parse(bad, 0).is_err(), "{bad:?}");
@@ -329,7 +525,7 @@ mod tests {
             stream
                 .set_read_timeout(Some(Duration::from_secs(2)))
                 .unwrap();
-            let err = read_request(&mut stream)
+            let err = read_request(&mut stream, &mut Vec::new())
                 .expect_err(&format!("{fault:?} must not parse as a request"));
             assert!(
                 err.status == 400 || err.status == 431,
@@ -346,13 +542,14 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream).expect("clean request parses");
+            let req = read_request(&mut stream, &mut Vec::new()).expect("clean request parses");
             crate::http::write_response(
                 &mut stream,
                 503,
                 "application/json",
                 &[("retry-after", "1")],
                 b"{}",
+                true,
             )
             .unwrap();
             req
@@ -367,8 +564,13 @@ mod tests {
         )
         .expect("round trip");
         assert_eq!(resp.status, 503);
-        assert!(resp.retry_after, "retry-after header must be detected");
+        assert_eq!(resp.header("retry-after"), Some("1"));
+        assert_eq!(resp.body, "{}");
         let req = server.join().unwrap();
         assert_eq!(req.header("x-lrgcn-deadline-ms"), Some("250"));
+        assert!(
+            !req.keep_alive,
+            "the one-shot helper must say Connection: close"
+        );
     }
 }

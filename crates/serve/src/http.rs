@@ -1,11 +1,16 @@
 //! A deliberately small HTTP/1.1 layer over `std::net::TcpStream`.
 //!
-//! One request per connection (`Connection: close` on every response) keeps
-//! the server loop trivial and makes graceful shutdown exact: a worker that
-//! finished writing its response holds no half-open protocol state. Headers
-//! are capped at 16 KiB and bodies at 1 MiB, so a hostile peer cannot make
-//! a worker allocate unboundedly; reads carry a socket timeout installed by
-//! the caller.
+//! Connections are persistent (HTTP/1.1 keep-alive): [`read_request`]
+//! frames one request by `Content-Length` and leaves every byte past it in
+//! the caller's per-connection carry buffer, so pipelined requests are
+//! answered in order; [`write_response`] sends head and body in one write
+//! and says `Connection: close` only when the caller is about to close.
+//! [`Request::keep_alive`] is the client's half of that decision
+//! (`Connection: close` or HTTP/1.0 end the connection); any parse or
+//! framing error ends it too, because the byte position of the next
+//! request is then unknown. Headers are capped at 16 KiB and bodies at
+//! 1 MiB, so a hostile peer cannot make a worker allocate unboundedly;
+//! reads carry a socket timeout installed by the caller.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -28,6 +33,9 @@ pub struct Request {
     /// win. Bounded by the 16 KiB header cap.
     pub headers: HashMap<String, String>,
     pub body: Vec<u8>,
+    /// The client allows another request on this connection: HTTP/1.1
+    /// without `Connection: close`.
+    pub keep_alive: bool,
 }
 
 impl Request {
@@ -61,31 +69,53 @@ impl HttpError {
     }
 }
 
-/// Reads and parses one request. The caller maps the error to its carried
-/// status (400 or 431).
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
+/// Reads and parses one request. `carry` is the connection's unread bytes:
+/// it is consumed first, topped up from `stream` as needed, and on success
+/// left holding whatever followed this request (the start of the next
+/// one, when the client pipelines). The caller maps the error to its
+/// carried status (400 or 431) and closes the connection.
+pub fn read_request(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Result<Request, HttpError> {
     let header_end = loop {
-        if let Some(pos) = find_header_end(&buf) {
+        if let Some(pos) = find_header_end(carry) {
             break pos;
         }
-        if buf.len() > MAX_HEADER_BYTES {
+        if carry.len() > MAX_HEADER_BYTES {
             return Err(HttpError {
                 status: 431,
                 msg: "request headers exceed 16KiB".into(),
             });
         }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| HttpError::bad(format!("read: {e}")))?;
+        let n = read_more(stream, carry).map_err(|e| HttpError::bad(format!("read: {e}")))?;
         if n == 0 {
             return Err(HttpError::bad("connection closed mid-request"));
         }
-        buf.extend_from_slice(&chunk[..n]);
     };
-    let head = std::str::from_utf8(&buf[..header_end])
-        .map_err(|_| HttpError::bad("non-UTF8 request head"))?;
+    let (mut req, content_length) = parse_head(&carry[..header_end])?;
+    let body_start = header_end + 4;
+    let request_end = body_start + content_length;
+    while carry.len() < request_end {
+        let n = read_more(stream, carry).map_err(|e| HttpError::bad(format!("read body: {e}")))?;
+        if n == 0 {
+            return Err(HttpError::bad("connection closed mid-body"));
+        }
+    }
+    req.body = carry[body_start..request_end].to_vec();
+    carry.drain(..request_end);
+    Ok(req)
+}
+
+/// Appends what one `read` returns to `carry`; `Ok(0)` is end of stream.
+pub fn read_more(stream: &mut TcpStream, carry: &mut Vec<u8>) -> std::io::Result<usize> {
+    let mut chunk = [0u8; 1024];
+    let n = stream.read(&mut chunk)?;
+    carry.extend_from_slice(&chunk[..n]);
+    Ok(n)
+}
+
+/// Parses request line and headers (everything before the blank line) into
+/// a body-less [`Request`] plus the advertised `Content-Length`.
+fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
+    let head = std::str::from_utf8(head).map_err(|_| HttpError::bad("non-UTF8 request head"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().ok_or_else(|| HttpError::bad("empty request"))?;
     let mut parts = request_line.split(' ');
@@ -102,6 +132,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::bad(format!("unsupported version {version:?}")));
     }
+    let mut keep_alive = version != "HTTP/1.0";
     let mut content_length = 0usize;
     let mut headers = HashMap::new();
     for line in lines {
@@ -112,6 +143,14 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
                 content_length = value
                     .parse()
                     .map_err(|_| HttpError::bad(format!("bad Content-Length {v:?}")))?;
+            } else if key == "connection" {
+                keep_alive &= !value
+                    .split(',')
+                    .any(|t| t.trim().eq_ignore_ascii_case("close"));
+            } else if key == "transfer-encoding" {
+                // Bodies are framed by Content-Length alone; a chunked body
+                // would be read as the next request.
+                return Err(HttpError::bad("Transfer-Encoding is not supported"));
             }
             headers.insert(key, value.to_string());
         }
@@ -119,17 +158,6 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::bad("request body exceeds 1MiB"));
     }
-    let mut body = buf[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| HttpError::bad(format!("read body: {e}")))?;
-        if n == 0 {
-            return Err(HttpError::bad("connection closed mid-body"));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
 
     let (raw_path, raw_query) = match target.split_once('?') {
         Some((p, q)) => (p, q),
@@ -140,16 +168,20 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
         let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
         query.insert(percent_decode(k), percent_decode(v));
     }
-    Ok(Request {
-        method,
-        path: percent_decode(raw_path),
-        query,
-        headers,
-        body,
-    })
+    Ok((
+        Request {
+            method,
+            path: percent_decode(raw_path),
+            query,
+            headers,
+            body: Vec::new(),
+            keep_alive,
+        },
+        content_length,
+    ))
 }
 
-fn find_header_end(buf: &[u8]) -> Option<usize> {
+pub(crate) fn find_header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
@@ -186,7 +218,10 @@ pub fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Writes a complete response and flushes. Always `Connection: close`.
+/// Writes a complete response in one `write_all`: head and body leave in
+/// one segment, so Nagle and the peer's delayed ACK never hold the body
+/// back. `close` announces `Connection: close`; without it the connection
+/// stays open (the HTTP/1.1 default, so no header is spent on it).
 /// `extra` headers (e.g. `x-lrgcn-request-id`) are emitted verbatim after
 /// the fixed ones; callers must pass sanitized values (no CR/LF).
 pub fn write_response(
@@ -195,22 +230,26 @@ pub fn write_response(
     content_type: &str,
     extra: &[(&str, &str)],
     body: &[u8],
+    close: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
+    let mut out = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         status_reason(status),
         body.len()
     );
-    for (k, v) in extra {
-        head.push_str(k);
-        head.push_str(": ");
-        head.push_str(v);
-        head.push_str("\r\n");
+    if close {
+        out.push_str("Connection: close\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    for (k, v) in extra {
+        out.push_str(k);
+        out.push_str(": ");
+        out.push_str(v);
+        out.push_str("\r\n");
+    }
+    out.push_str("\r\n");
+    let mut out = out.into_bytes();
+    out.extend_from_slice(body);
+    stream.write_all(&out)
 }
 
 pub fn status_reason(status: u16) -> &'static str {
@@ -270,7 +309,7 @@ mod tests {
             s
         });
         let (mut stream, _) = listener.accept().unwrap();
-        let err = read_request(&mut stream).unwrap_err();
+        let err = read_request(&mut stream, &mut Vec::new()).unwrap_err();
         assert_eq!(err.status, 431, "oversized headers must map to 431: {err:?}");
         assert!(err.msg.contains("16KiB"), "unexpected message {:?}", err.msg);
         drop(client.join().unwrap());
@@ -286,7 +325,7 @@ mod tests {
             s
         });
         let (mut stream, _) = listener.accept().unwrap();
-        let err = read_request(&mut stream).unwrap_err();
+        let err = read_request(&mut stream, &mut Vec::new()).unwrap_err();
         assert_eq!(err.status, 400);
         drop(client.join().unwrap());
     }
@@ -306,13 +345,62 @@ mod tests {
             s
         });
         let (mut stream, _) = listener.accept().unwrap();
-        let req = read_request(&mut stream).unwrap();
+        let req = read_request(&mut stream, &mut Vec::new()).unwrap();
         drop(client.join().unwrap());
+        assert!(req.keep_alive, "HTTP/1.1 without Connection: close");
         assert_eq!(req.method, "POST");
         assert_eq!(req.header("host"), Some("x"));
         assert_eq!(req.header("x-lrgcn-request-id"), Some("abc-123"));
         assert_eq!(req.header("content-length"), Some("2"));
         assert_eq!(req.header("missing"), None);
         assert_eq!(req.body, b"hi");
+    }
+
+    /// What the client sent in one write is three requests to the parser:
+    /// the carry buffer hands each its own bytes and keeps the rest, and
+    /// each says whether the client wants the connection kept.
+    #[test]
+    fn pipelined_requests_come_out_of_the_carry_buffer_in_order() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(
+                b"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc\
+                  GET /b HTTP/1.0\r\n\r\n\
+                  GET /c HTTP/1.1\r\nConnection: Keep-Alive, Close\r\n\r\n",
+            )
+            .unwrap();
+            s
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut carry = Vec::new();
+        let a = read_request(&mut stream, &mut carry).unwrap();
+        assert_eq!(
+            (a.path.as_str(), a.body.as_slice(), a.keep_alive),
+            ("/a", &b"abc"[..], true)
+        );
+        let b = read_request(&mut stream, &mut carry).unwrap();
+        assert_eq!(
+            (b.path.as_str(), b.keep_alive),
+            ("/b", false),
+            "HTTP/1.0 closes"
+        );
+        let c = read_request(&mut stream, &mut carry).unwrap();
+        assert_eq!(
+            (c.path.as_str(), c.keep_alive),
+            ("/c", false),
+            "Connection: close"
+        );
+        assert!(carry.is_empty(), "nothing left over: {carry:?}");
+        drop(client.join().unwrap());
+    }
+
+    #[test]
+    fn chunked_bodies_are_rejected_not_misframed() {
+        let (req, _) = parse_head(b"GET / HTTP/1.1\r\nHost: x").unwrap();
+        assert!(req.keep_alive);
+        let err = parse_head(b"POST /score HTTP/1.1\r\nTransfer-Encoding: chunked").unwrap_err();
+        assert_eq!(err.status, 400);
     }
 }

@@ -14,9 +14,12 @@
 //!   `/similar` candidate generation behind `serve --ann --nprobe N`,
 //!   rebuilt on every hot reload and guarded by a build-time sampled
 //!   recall measurement (`EngineState::ann_recall`).
-//! * [`server`] — a fixed worker pool sharing one nonblocking listener;
-//!   routes for recommendations, item similarity, batch scoring, health,
-//!   Prometheus-rendered obs metrics, reload and graceful shutdown.
+//! * [`server`] — one acceptor blocked in `accept` feeding a fixed worker
+//!   pool through a bounded queue, each worker serving a keep-alive
+//!   connection request after request (idle connections are reclaimed
+//!   when a new one would otherwise wait); routes for recommendations,
+//!   item similarity, batch scoring, health, Prometheus-rendered obs
+//!   metrics, reload and graceful shutdown.
 //! * [`batch`] — concurrent `POST /score` requests coalesce into one
 //!   scoring kernel per tick through a condvar queue.
 //! * [`cache`] — a sharded LRU of per-user top-K responses, keyed by
@@ -25,11 +28,13 @@
 //!   appends to a crash-safe `lrgcn_stream::EventLog` and folds the new
 //!   interactions into an immutable [`StreamDelta`] the read paths merge
 //!   on top of the trained state — see DESIGN.md §13.
-//! * [`http`] — the minimal HTTP/1.1 request/response layer.
-//! * [`chaos`] — a deterministic socket-level fault injector for tests and
-//!   the overload bench: seeded plans of connection faults (abort
-//!   mid-write, slow-loris, torn frames, garbage bytes) driven against a
-//!   live server — see DESIGN.md §14.
+//! * [`http`] — the minimal HTTP/1.1 request/response layer:
+//!   `Content-Length` framing, persistent connections, pipelining.
+//! * [`chaos`] — the tree's one HTTP test client (`Conn`, `request`) and a
+//!   deterministic socket-level fault injector: seeded plans of connection
+//!   faults (abort mid-write, slow-loris, torn frames, garbage bytes, and
+//!   the between-request states keep-alive adds) driven against a live
+//!   server — see DESIGN.md §14.
 //!
 //! Overload control (DESIGN.md §14): [`server`] guards the compute routes
 //! with a bounded admission gate (`--max-inflight`/`--max-queue`, sheds

@@ -13,11 +13,28 @@
 //! POST /admin/shutdown              begin graceful shutdown
 //! ```
 //!
-//! Concurrency model: `workers` threads share one nonblocking listener via
-//! `try_clone` and sleep-poll `accept`. A request in flight always runs to
-//! completion — shutdown only flips an `AtomicBool` the workers check
-//! *between* connections — and reloads swap an `Arc` snapshot, so neither
-//! ever fails an accepted request.
+//! Concurrency model: one acceptor thread blocks in `accept` and hands
+//! sockets to `workers` threads over a bounded queue ([`Conns`]). A worker
+//! owns a connection for its whole life and loops read-request → route →
+//! write-response on it (HTTP/1.1 keep-alive), closing on `Connection:
+//! close`, HTTP/1.0, a parse or framing error, [`IDLE_TIMEOUT`],
+//! [`MAX_REQUESTS_PER_CONN`] or shutdown.
+//!
+//! An idle connection never makes a new one wait. A worker that *parks*
+//! (blocks for the next request's first byte) registers a clone of its
+//! socket; an acceptor holding a socket nobody is free to take marks the
+//! longest-parked entry reclaimed and shuts the clone down, and the woken
+//! worker drops that connection — without looking at bytes that may have
+//! raced in, the ordinary keep-alive close race clients retry — and takes
+//! the queued socket. Only connections that have been answered before are
+//! reclaimed: a client retries a reused connection that died, not a fresh
+//! one. Symmetrically, a worker about to answer while sockets are queued
+//! answers `Connection: close` and moves on.
+//!
+//! A request in flight always runs to completion: shutdown sets a flag,
+//! wakes the acceptor with a self-connect and reclaims every parked
+//! connection, so only *idle* connections are cut; reloads swap an `Arc`
+//! snapshot. Neither ever fails an accepted request.
 //!
 //! Every request passes through a thin observability middleware (DESIGN.md
 //! §12): it assigns a request id (honoring an inbound
@@ -29,19 +46,20 @@
 use crate::batch::Batcher;
 use crate::cache::{Key, TopKCache};
 use crate::engine::{Engine, EngineState, ReadOverride, Scratch};
-use crate::http::{read_request, write_response, Request};
+use crate::http::{read_more, read_request, write_response, Request};
 use lrgcn_obs::json::Value;
 use lrgcn_obs::registry::{bucket_upper_ns, HIST_BUCKETS};
 use lrgcn_obs::window::{self, ReadPath, Route, WindowStats, WINDOWS_S};
 use lrgcn_obs::{registry, Counter, Gauge, Hist};
 use lrgcn_stream::{EventLog, StreamEvent};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -131,8 +149,9 @@ impl Default for ServerConfig {
 /// /admin/shutdown) for a graceful stop.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    conns: Arc<Conns>,
     batcher: Arc<Batcher>,
+    /// Acceptor, workers and (when armed) the brownout controller.
     workers: Vec<JoinHandle<()>>,
     scorer: Option<JoinHandle<()>>,
 }
@@ -143,18 +162,18 @@ impl ServerHandle {
     }
 
     /// Begins graceful shutdown: workers finish their in-flight request,
-    /// the scorer drains the queue.
+    /// idle connections are closed, the scorer drains the queue.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.conns.shutdown();
         self.batcher.shutdown();
     }
 
     /// True once shutdown has been requested (by this handle or over HTTP).
     pub fn is_shutting_down(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+        self.conns.stopping()
     }
 
-    /// Blocks until every worker and the scorer have exited.
+    /// Blocks until the acceptor, every worker and the scorer have exited.
     pub fn wait(mut self) {
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -165,10 +184,22 @@ impl ServerHandle {
     }
 }
 
-/// How often idle workers re-check the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-/// Per-connection socket timeout: a stalled peer cannot pin a worker.
+/// Per-connection socket timeout: a peer stalled mid-request or
+/// mid-response cannot pin a worker.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long a connection may sit between requests before the worker
+/// closes it. (Before its first request it gets [`SOCKET_TIMEOUT`]: a
+/// client that connects and says nothing is stalled, not idle.)
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Requests answered on one connection before the server closes it, so no
+/// client holds a worker's buffers forever.
+const MAX_REQUESTS_PER_CONN: usize = 1000;
+/// Accepted sockets that may wait for a worker; past this the acceptor
+/// stops accepting and the kernel backlog holds the rest.
+const MAX_QUEUED_SOCKETS: usize = 128;
+/// Pause after a failed `accept` (fd exhaustion): bounds the retry rate
+/// without a sleep shutdown would have to wait out.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Binds, spawns the worker pool and the batch scorer, returns immediately.
 pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, String> {
@@ -177,9 +208,6 @@ pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, Str
     }
     let listener =
         TcpListener::bind(&cfg.addr).map_err(|e| format!("binding {}: {e}", cfg.addr))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking listener: {e}"))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
 
     let n_workers = if cfg.workers == 0 {
@@ -187,7 +215,7 @@ pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, Str
     } else {
         cfg.workers
     };
-    let stop = Arc::new(AtomicBool::new(false));
+    let conns = Arc::new(Conns::new(addr));
     let cache = Arc::new(TopKCache::new(cfg.cache_capacity, n_workers.max(1)));
     let batcher = Batcher::new(cfg.batch_tick);
     let obs = Arc::new(ObsState::new(&cfg, read_path_of(&engine))?);
@@ -221,16 +249,23 @@ pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, Str
             .map_err(|e| format!("spawning scorer: {e}"))?
     };
 
-    let mut workers = Vec::with_capacity(n_workers);
+    let mut workers = Vec::with_capacity(n_workers + 2);
+    {
+        let conns = conns.clone();
+        workers.push(
+            std::thread::Builder::new()
+                .name("lrgcn-serve-accept".into())
+                .spawn(move || accept_loop(listener, &conns))
+                .map_err(|e| format!("spawning acceptor: {e}"))?,
+        );
+    }
     for w in 0..n_workers {
-        let listener = listener
-            .try_clone()
-            .map_err(|e| format!("cloning listener: {e}"))?;
         let ctx = Ctx {
+            worker: w,
             engine: engine.clone(),
             cache: cache.clone(),
             batcher: batcher.clone(),
-            stop: stop.clone(),
+            conns: conns.clone(),
             cache_enabled: cfg.cache_capacity > 0,
             obs: obs.clone(),
             ingest: ingest.clone(),
@@ -239,14 +274,14 @@ pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, Str
         workers.push(
             std::thread::Builder::new()
                 .name(format!("lrgcn-serve-{w}"))
-                .spawn(move || worker_loop(listener, ctx))
+                .spawn(move || worker_loop(ctx))
                 .map_err(|e| format!("spawning worker: {e}"))?,
         );
     }
 
     if cfg.brownout {
         let ov = overload.clone();
-        let stop_flag = stop.clone();
+        let conns = conns.clone();
         let slo_ns = cfg.slo_p99_ms.unwrap_or(0).saturating_mul(1_000_000);
         let tick = cfg.brownout_tick;
         let mut ctl = BrownoutCtl::new(cfg.brownout_up_ticks, cfg.brownout_down_ticks);
@@ -256,7 +291,7 @@ pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, Str
             std::thread::Builder::new()
                 .name("lrgcn-serve-brownout".into())
                 .spawn(move || {
-                    while !stop_flag.load(Ordering::SeqCst) {
+                    while !conns.stopping() {
                         std::thread::sleep(tick);
                         let w10 = window::serving_window(window::now_sec(), 10);
                         let old = ov.level.load(Ordering::SeqCst);
@@ -291,7 +326,7 @@ pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, Str
 
     Ok(ServerHandle {
         addr,
-        stop,
+        conns,
         batcher,
         workers,
         scorer: Some(scorer),
@@ -307,10 +342,13 @@ thread_local! {
 
 /// Everything a worker needs, cloned per thread.
 struct Ctx {
+    /// This worker's index; names its entry in the parked table.
+    worker: usize,
     engine: Arc<Engine>,
     cache: Arc<TopKCache>,
     batcher: Arc<Batcher>,
-    stop: Arc<AtomicBool>,
+    /// Socket queue, parked table and the shutdown flag.
+    conns: Arc<Conns>,
     cache_enabled: bool,
     obs: Arc<ObsState>,
     /// Streaming ingestion state; `None` when `--events-log` is off.
@@ -764,55 +802,289 @@ fn classify_route(req: &Request) -> Route {
     }
 }
 
-fn worker_loop(listener: TcpListener, ctx: Ctx) {
+/// The connection layer's shared state: accepted sockets waiting for a
+/// worker, the connections workers are parked on, and the shutdown flag.
+struct Conns {
+    addr: SocketAddr,
+    stop: AtomicBool,
+    state: Mutex<ConnState>,
+    /// Workers wait here for a socket.
+    ready: Condvar,
+    /// The acceptor waits here for queue room, and after a failed accept.
+    room: Condvar,
+}
+
+#[derive(Default)]
+struct ConnState {
+    queue: VecDeque<TcpStream>,
+    /// Workers blocked on `ready`; each takes one queued socket when woken.
+    free_workers: usize,
+    /// At most one entry per worker.
+    parked: Vec<Parked>,
+}
+
+/// A connection whose worker is blocked waiting for its next request.
+struct Parked {
+    worker: usize,
+    since: Instant,
+    /// The connection has had an answer, so its client knows keep-alive
+    /// connections get closed under it and retries. A fresh connection's
+    /// client does not: only shutdown reclaims those.
+    answered: bool,
+    /// `try_clone` of the worker's socket: shutting it down ends the
+    /// worker's blocked read.
+    socket: TcpStream,
+    /// Set by whoever shut `socket` down; tells the worker the connection
+    /// is gone whatever its read returned.
+    reclaimed: bool,
+}
+
+impl Parked {
+    fn reclaim(&mut self) {
+        self.reclaimed = true;
+        let _ = self.socket.shutdown(Shutdown::Both);
+    }
+}
+
+impl Conns {
+    fn new(addr: SocketAddr) -> Self {
+        Self {
+            addr,
+            stop: AtomicBool::new(false),
+            state: Mutex::default(),
+            ready: Condvar::new(),
+            room: Condvar::new(),
+        }
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Every update under this lock is a single push, pop, remove or
+    /// counter step, so the state a panicking holder leaves is still valid.
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Acceptor side: queues `socket`, and if no free worker will come for
+    /// it, reclaims the longest-parked keep-alive connection so one does.
+    fn offer(&self, socket: TcpStream) {
+        let mut st = self.lock();
+        while st.queue.len() >= MAX_QUEUED_SOCKETS && !self.stopping() {
+            st = self.room.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        if self.stopping() {
+            return;
+        }
+        st.queue.push_back(socket);
+        let on_their_way = st.free_workers + st.parked.iter().filter(|p| p.reclaimed).count();
+        if st.queue.len() > on_their_way {
+            if let Some(idlest) = st
+                .parked
+                .iter_mut()
+                .filter(|p| p.answered && !p.reclaimed)
+                .min_by_key(|p| p.since)
+            {
+                idlest.reclaim();
+            }
+        }
+        self.ready.notify_one();
+    }
+
+    /// Acceptor side: waits out [`ACCEPT_BACKOFF`] or until shutdown.
+    fn accept_backoff(&self) {
+        let st = self.lock();
+        if !self.stopping() {
+            drop(self.room.wait_timeout(st, ACCEPT_BACKOFF));
+        }
+    }
+
+    /// Worker side: the next accepted socket, or `None` once shutdown began.
+    fn next_socket(&self) -> Option<TcpStream> {
+        let mut st = self.lock();
+        loop {
+            if self.stopping() {
+                return None;
+            }
+            if let Some(socket) = st.queue.pop_front() {
+                self.room.notify_one();
+                return Some(socket);
+            }
+            st.free_workers += 1;
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st.free_workers -= 1;
+        }
+    }
+
+    /// True while accepted sockets wait for a worker.
+    fn backlog(&self) -> bool {
+        !self.lock().queue.is_empty()
+    }
+
+    /// Worker side: registers `stream` as parked. False means close it
+    /// instead: shutdown began, or sockets are queued behind a connection
+    /// that has already had an answer (`answered`).
+    fn park(&self, worker: usize, stream: &TcpStream, answered: bool) -> bool {
+        let Ok(socket) = stream.try_clone() else {
+            return false;
+        };
+        let mut st = self.lock();
+        if self.stopping() || (answered && !st.queue.is_empty()) {
+            return false;
+        }
+        st.parked.push(Parked {
+            worker,
+            since: Instant::now(),
+            answered,
+            socket,
+            reclaimed: false,
+        });
+        true
+    }
+
+    /// Worker side: removes this worker's parked entry; true if the
+    /// connection was reclaimed while it was parked.
+    fn unpark(&self, worker: usize) -> bool {
+        let mut st = self.lock();
+        let at = st
+            .parked
+            .iter()
+            .position(|p| p.worker == worker)
+            .expect("unpark follows a successful park by the same worker");
+        st.parked.swap_remove(at).reclaimed
+    }
+
+    /// Begins shutdown: no new sockets are served, parked connections are
+    /// cut, every waiter wakes. Requests in flight are not touched.
+    fn shutdown(&self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        {
+            let mut st = self.lock();
+            st.queue.clear();
+            st.parked.iter_mut().for_each(Parked::reclaim);
+            self.ready.notify_all();
+            self.room.notify_all();
+        }
+        // The acceptor is blocked in `accept`; a connection to ourselves
+        // is the portable way to make that call return.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, SOCKET_TIMEOUT);
+    }
+}
+
+fn accept_loop(listener: TcpListener, conns: &Conns) {
     loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => handle_connection(stream, &ctx),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if ctx.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                if ctx.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(ACCEPT_POLL);
-            }
+        let accepted = listener.accept();
+        if conns.stopping() {
+            return;
+        }
+        match accepted {
+            Ok((socket, _peer)) => conns.offer(socket),
+            Err(_) => conns.accept_backoff(),
         }
     }
 }
 
-fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
+fn worker_loop(ctx: Ctx) {
+    while let Some(stream) = ctx.conns.next_socket() {
+        serve_connection(stream, &ctx);
+    }
+}
+
+/// One connection, start to finish: request after request until a close
+/// rule fires (module docs).
+fn serve_connection(mut stream: TcpStream, ctx: &Ctx) {
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    let _ = stream.set_nonblocking(false);
+    // A response is one small write; left to Nagle, every second one on a
+    // connection would wait ~40 ms for the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    let mut carry: Vec<u8> = Vec::with_capacity(1024);
+    for answered in 0..MAX_REQUESTS_PER_CONN {
+        if carry.is_empty() && !await_request(&mut stream, &mut carry, answered > 0, ctx) {
+            return;
+        }
+        let last = answered + 1 == MAX_REQUESTS_PER_CONN;
+        if !serve_request(&mut stream, &mut carry, last, ctx) {
+            return;
+        }
+    }
+}
+
+/// Parks until the next request's first byte is in `carry`. False when the
+/// connection ended instead — peer closed, idle too long, reclaimed,
+/// shutdown — which is neither a request nor an error: nothing is counted
+/// and nothing is written.
+fn await_request(stream: &mut TcpStream, carry: &mut Vec<u8>, answered: bool, ctx: &Ctx) -> bool {
+    if !ctx.conns.park(ctx.worker, stream, answered) {
+        return false;
+    }
+    let parked_at = Instant::now();
+    let limit = if answered {
+        IDLE_TIMEOUT
+    } else {
+        SOCKET_TIMEOUT
+    };
+    // The socket's read timeout stays SOCKET_TIMEOUT for the connection's
+    // whole life; idling longer than that is a few extra wake-ups.
+    let got = loop {
+        match read_more(stream, carry) {
+            Ok(n) => break n,
+            Err(e)
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                    && parked_at.elapsed() < limit => {}
+            Err(_) => break 0,
+        }
+    };
+    // A reclaimed connection is dropped whatever the read returned.
+    !ctx.conns.unpark(ctx.worker) && got > 0
+}
+
+/// Reads, routes and answers one request whose first byte is already in
+/// `carry`; everything measured or counted per request happens here, so
+/// time a connection spent idle is never latency. Returns whether the
+/// connection stays open; `last` is the per-connection request cap.
+fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, last: bool, ctx: &Ctx) -> bool {
     registry::add(Counter::ServeRequests, 1);
     let _span = lrgcn_obs::trace::span("serve_request", "serve");
     let t0 = Instant::now();
 
-    let (req_id, route_label, method, path, reply) = match read_request(&mut stream) {
+    let (req_id, route_label, method, path, reply, keep_alive) = match read_request(stream, carry) {
         Ok(req) => {
             let id = ctx.obs.request_id(&req);
             let label = classify_route(&req);
             let reply = route(&req, ctx, &id);
-            (id, label, req.method, req.path, reply)
+            (id, label, req.method, req.path, reply, req.keep_alive)
         }
+        // After a parse or framing error the next request's position in
+        // the byte stream is unknown: answer and close.
         Err(err) => (
             ctx.obs.fresh_id(),
             Route::Other,
             "-".to_string(),
             "-".to_string(),
             error_response(err.status, &err.msg),
+            false,
         ),
     };
     let (status, content_type, body) = reply;
     if status >= 400 {
         registry::add(Counter::ServeErrors, 1);
     }
+    // Evaluated after routing, so `/admin/shutdown` closes its own
+    // connection; a waiting socket outranks this client's next request.
+    let close = !keep_alive || last || ctx.conns.stopping() || ctx.conns.backlog();
     let extra = response_headers(&req_id, status);
-    let _ = write_response(&mut stream, status, content_type, &extra, &body);
+    let written = write_response(stream, status, content_type, &extra, &body, close);
 
     // The measurement covers parse → route → respond, exactly what the
     // cumulative `Hist::ServeRequest` always covered; both sinks are fed
@@ -829,6 +1101,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
         ctx.obs
             .access_log(&req_id, &method, &path, route_label, status, ns, generation);
     }
+    !close && written.is_ok()
 }
 
 type Reply = (u16, &'static str, Vec<u8>);
@@ -912,7 +1185,7 @@ fn route(req: &Request, ctx: &Ctx, req_id: &str) -> Reply {
         ("POST", "/events") => events(req, ctx, req_id),
         ("POST", "/admin/reload") => reload(ctx),
         ("POST", "/admin/shutdown") => {
-            ctx.stop.store(true, Ordering::SeqCst);
+            ctx.conns.shutdown();
             ctx.batcher.shutdown();
             json_response(&Value::obj([("status", Value::str("shutting down"))]))
         }
@@ -1873,6 +2146,7 @@ mod tests {
             query: Default::default(),
             headers: Default::default(),
             body: Vec::new(),
+            keep_alive: true,
         }
     }
 

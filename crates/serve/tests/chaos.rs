@@ -10,7 +10,7 @@
 
 use lrgcn_data::{Dataset, SplitRatios, SyntheticConfig};
 use lrgcn_models::{LayerGcn, LayerGcnConfig, Recommender};
-use lrgcn_serve::chaos::{self, ChaosClient, FaultPlan, Outcome};
+use lrgcn_serve::chaos::{self, ChaosClient, ConnFault, FaultPlan, Outcome};
 use lrgcn_serve::{serve, Engine, EngineOptions, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,10 +72,13 @@ fn clean_get(addr: SocketAddr, path: &str) -> chaos::ChaosResponse {
 }
 
 /// The headline soak: four clients interleave planned connection faults
-/// (aborts, slow-loris stalls, torn frames, garbage) with valid requests
-/// for ~100 connections each. Every clean request must be answered 200,
-/// no clean request may die at the transport layer, and the server must
-/// come out of the soak serving the same bytes it served before it.
+/// with valid requests for ~100 connections each — faults that replace
+/// the request (aborts, slow-loris stalls, torn frames, garbage) and
+/// faults that follow a valid one on a kept-alive connection (sitting
+/// idle, half-closing, pipelining garbage). Every clean request, and the
+/// valid request inside every fault of the second kind, must be answered
+/// 200; none may die at the transport layer; and the server must come out
+/// of the soak serving the same bytes it served before it.
 #[test]
 fn hostile_sockets_never_take_down_valid_traffic() {
     let (_ds, handle) = start_server("soak");
@@ -85,12 +88,15 @@ fn hostile_sockets_never_take_down_valid_traffic() {
 
     let mut threads = Vec::new();
     for t in 0..4u64 {
-        let plan = FaultPlan::parse("abort:0.2,slowloris:0.1,torn:0.2,garbage:0.2", 100 + t)
-            .expect("plan");
+        let plan = FaultPlan::parse(
+            "abort:0.15,slowloris:0.1,torn:0.15,garbage:0.15,idle:0.1,halfclose:0.1,pipegarbage:0.1",
+            100 + t,
+        )
+        .expect("plan");
         threads.push(std::thread::spawn(move || {
             let mut client = ChaosClient::new(addr, plan);
             client.slow_hold = Duration::from_millis(20);
-            let (mut ok, mut faulted) = (0u64, 0u64);
+            let (mut ok, mut faulted) = (0u64, Vec::new());
             for i in 0..100u32 {
                 match client.get(&format!("/recs/{}?k=5", i % 8)) {
                     Outcome::Answered(resp) => {
@@ -98,7 +104,7 @@ fn hostile_sockets_never_take_down_valid_traffic() {
                         assert!(resp.body.contains("\"items\""), "bad body {}", resp.body);
                         ok += 1;
                     }
-                    Outcome::Faulted(_) => faulted += 1,
+                    Outcome::Faulted(fault) => faulted.push(fault),
                     Outcome::TransportError(e) => {
                         panic!("clean request hit a transport error: {e}")
                     }
@@ -107,17 +113,26 @@ fn hostile_sockets_never_take_down_valid_traffic() {
             (ok, faulted)
         }));
     }
-    let (mut total_ok, mut total_faulted) = (0, 0);
+    let (mut total_ok, mut all_faults) = (0, Vec::new());
     for t in threads {
         let (ok, faulted) = t.join().expect("no soak thread may panic");
         total_ok += ok;
-        total_faulted += faulted;
+        all_faults.extend(faulted);
     }
     assert!(total_ok >= 100, "goodput collapsed: {total_ok} clean 200s");
     assert!(
-        total_faulted >= 100,
-        "soak was vacuous: only {total_faulted} faults fired"
+        all_faults.len() >= 100,
+        "soak was vacuous: only {} faults fired",
+        all_faults.len()
     );
+    for between_requests in [
+        ConnFault::IdleHold,
+        ConnFault::HalfClose,
+        ConnFault::PipelinedGarbage,
+    ] {
+        let fired = all_faults.iter().filter(|f| **f == between_requests).count();
+        assert!(fired >= 10, "{between_requests:?} fired only {fired} times");
+    }
 
     // The server is intact: health answers, metrics scrape, and the
     // pre-soak ranking is reproduced byte for byte (both responses are
@@ -128,13 +143,18 @@ fn hostile_sockets_never_take_down_valid_traffic() {
     let after = clean_get(addr, "/recs/0?k=10");
     assert_eq!(after.body, baseline.body, "post-soak ranking drifted");
 
-    let (status, _) = raw(addr, b"POST /admin/shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    let (status, _) = raw(
+        addr,
+        b"POST /admin/shutdown HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+    );
     assert_eq!(status, 200);
     handle.wait();
 }
 
-/// Writes raw bytes, returns (status, full response text). Tolerates the
-/// server hanging up mid-write (it may reject before we finish sending).
+/// Writes raw bytes, reads to end of stream, returns (status, full response
+/// text): `bytes` must be a request that makes the server close (an error,
+/// or `Connection: close`). Tolerates the server hanging up mid-write (it
+/// may reject before we finish sending).
 fn raw(addr: SocketAddr, bytes: &[u8]) -> (u16, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -183,7 +203,7 @@ fn framing_abuse_gets_clean_errors_not_resets() {
     {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        for b in b"GET /recs/1?k=3 HTTP/1.1\r\nHost: drip\r\n\r\n" {
+        for b in b"GET /recs/1?k=3 HTTP/1.1\r\nHost: drip\r\nConnection: close\r\n\r\n" {
             s.write_all(&[*b]).expect("drip write");
             std::thread::sleep(Duration::from_micros(200));
         }

@@ -11,12 +11,11 @@ use lrgcn_data::{Dataset, SplitRatios, SyntheticConfig};
 use lrgcn_eval::top_k_indices;
 use lrgcn_models::{LayerGcn, LayerGcnConfig, Recommender};
 use lrgcn_obs::json::{self, Value};
-use lrgcn_serve::{serve, Engine, EngineOptions, ServerConfig};
+use lrgcn_serve::{chaos, serve, Engine, EngineOptions, ServerConfig};
 use lrgcn_tensor::par;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -86,28 +85,12 @@ fn engine_opts() -> EngineOptions {
     }
 }
 
-/// Minimal blocking HTTP/1.1 client: one request, returns (status, body).
+/// One request on a connection of its own, returns (status, body).
 fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).ok();
-    let b = body.unwrap_or("");
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{b}",
-        b.len()
-    );
-    s.write_all(req.as_bytes()).expect("send");
-    let mut resp = String::new();
-    s.read_to_string(&mut resp).expect("response");
-    let status: u16 = resp
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {resp:?}"));
-    let body = resp
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    let body = body.unwrap_or("").as_bytes();
+    let resp = chaos::request(addr, method, path, &[], body, Duration::from_secs(10))
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+    (resp.status, resp.body)
 }
 
 fn get_json(addr: SocketAddr, path: &str) -> (u16, Value) {

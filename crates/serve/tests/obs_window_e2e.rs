@@ -22,12 +22,11 @@ use lrgcn_data::{Dataset, SplitRatios, SyntheticConfig};
 use lrgcn_eval::top_k_indices;
 use lrgcn_models::{LayerGcn, LayerGcnConfig, Recommender};
 use lrgcn_obs::json::{self, Value};
-use lrgcn_serve::{serve, Engine, EngineOptions, ServerConfig};
+use lrgcn_serve::{chaos, serve, Engine, EngineOptions, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,38 +83,23 @@ fn slow_fixture() -> (Arc<Dataset>, PathBuf) {
     (ds, ckpt)
 }
 
-/// Blocking HTTP/1.1 client that keeps the response headers — the shared
-/// `http()` helper in e2e.rs throws them away, and this test needs to see
-/// the `x-lrgcn-request-id` echo.
+/// One GET on a connection of its own; the response headers come back too
+/// (this test needs to see the `x-lrgcn-request-id` echo).
 fn http_full(
     addr: SocketAddr,
     path: &str,
     extra_headers: &[(&str, &str)],
 ) -> (u16, HashMap<String, String>, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).ok();
-    let mut req = format!("GET {path} HTTP/1.1\r\nHost: test\r\n");
-    for (k, v) in extra_headers {
-        req.push_str(&format!("{k}: {v}\r\n"));
-    }
-    req.push_str("\r\n");
-    s.write_all(req.as_bytes()).expect("send");
-    let mut resp = String::new();
-    s.read_to_string(&mut resp).expect("response");
-    let (head, body) = resp.split_once("\r\n\r\n").expect("header/body split");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("no status line in {head:?}"));
-    let mut headers = HashMap::new();
-    for line in lines {
-        if let Some((k, v)) = line.split_once(':') {
-            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
-        }
-    }
-    (status, headers, body.to_string())
+    let resp = chaos::request(
+        addr,
+        "GET",
+        path,
+        extra_headers,
+        b"",
+        Duration::from_secs(30),
+    )
+    .unwrap_or_else(|e| panic!("GET {path}: {e}"));
+    (resp.status, resp.headers, resp.body)
 }
 
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -319,8 +303,9 @@ fn rolling_windows_expose_latency_shifts_cumulative_histograms_hide() {
     std::thread::sleep(Duration::from_secs(11));
 
     // ---- Phase 2: slow ANN traffic — full nprobe over the 1411-item
-    // catalog, k=1000 responses, no cache — with a 1ms SLO that everything
-    // violates.
+    // catalog, k=1000 responses, no cache — with a 0ms SLO that everything
+    // violates (these requests take 0.5-1 ms on a warm worker, so a 1ms
+    // target is a coin toss).
     let (slow_ds, slow_ckpt) = slow_fixture();
     let engine = Arc::new(
         Engine::open(
@@ -340,7 +325,7 @@ fn rolling_windows_expose_latency_shifts_cumulative_histograms_hide() {
         engine,
         ServerConfig {
             cache_capacity: 0, // every request pays the full read path
-            slo_p99_ms: Some(1),
+            slo_p99_ms: Some(0),
             slo_err_ppm: Some(1_000),
             ..ServerConfig::default()
         },
@@ -384,11 +369,11 @@ fn rolling_windows_expose_latency_shifts_cumulative_histograms_hide() {
          {slow_p50}ms) — did the fast phase's samples disappear?"
     );
 
-    // Everything violated the 1ms target: latency burn saturates well past
+    // Everything violated the 0ms target: latency burn saturates well past
     // the burn=1 budget line in both the 10s and 60s windows.
     assert!(
         f(&obs, &["slo", "burn_latency_10s"]) > 1.0,
-        "slow traffic must burn the 1ms latency SLO"
+        "slow traffic must burn the 0ms latency SLO"
     );
     assert!(f(&obs, &["slo", "burn_latency_60s"]) > 1.0);
     let ann_reads = f(&obs, &["windows", "10s", "read_paths", "ann"]);

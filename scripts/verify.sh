@@ -109,9 +109,11 @@ for _ in $(seq 1 50); do
     sleep 0.2
 done
 [[ -n "$port" ]] || { echo "verify: serve never reported its port"; cat "$smoke/serve.log"; exit 1; }
+# The server keeps connections alive; these helpers frame by end of
+# stream, so every one of them asks for `Connection: close`.
 http_req() { # method path -> full response on stdout
     exec 3<>"/dev/tcp/127.0.0.1/$port"
-    printf '%s %s HTTP/1.1\r\nHost: verify\r\nContent-Length: 0\r\n\r\n' "$1" "$2" >&3
+    printf '%s %s HTTP/1.1\r\nHost: verify\r\nConnection: close\r\nContent-Length: 0\r\n\r\n' "$1" "$2" >&3
     cat <&3
     exec 3<&-
 }
@@ -122,6 +124,18 @@ grep -q '"items":\[' <<<"$recs" || { echo "verify: /recs returned no items: $rec
 metrics=$(http_req GET /metrics)
 grep -q 'lrgcn_serve_http_requests_total' <<<"$metrics" || {
     echo "verify: /metrics missing serve counters"; exit 1; }
+# Keep-alive: two requests over one descriptor, the second saying close so
+# `cat` sees the end; both answers must come back, in order.
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+printf 'GET /recs/0?k=5 HTTP/1.1\r\nHost: verify\r\n\r\n' >&3
+printf 'GET /healthz HTTP/1.1\r\nHost: verify\r\nConnection: close\r\n\r\n' >&3
+pair=$(cat <&3)
+exec 3<&-
+# Bodies end without a newline, so the second status line is mid-line.
+[[ $(grep -o 'HTTP/1\.1 200' <<<"$pair" | wc -l) == 2 ]] || {
+    echo "verify: two requests on one connection got: $pair"; exit 1; }
+grep -q '"items":\[.*"status":"ok"' <<<"$(tr -d '\r\n' <<<"$pair")" || {
+    echo "verify: keep-alive answers missing or out of order: $pair"; exit 1; }
 http_req POST /admin/shutdown >/dev/null
 wait "$serve_pid" || { echo "verify: serve exited non-zero"; exit 1; }
 echo "serving smoke: OK"
@@ -144,7 +158,7 @@ done
 obs_req() { # method path [body] -> full response on stdout
     local body="${3:-}"
     exec 5<>"/dev/tcp/127.0.0.1/$obs_port"
-    printf '%s %s HTTP/1.1\r\nHost: verify\r\nContent-Length: %s\r\n\r\n%s' \
+    printf '%s %s HTTP/1.1\r\nHost: verify\r\nConnection: close\r\nContent-Length: %s\r\n\r\n%s' \
         "$1" "$2" "${#body}" "$body" >&5
     cat <&5
     exec 5<&-
@@ -259,7 +273,7 @@ start_serve() { # logfile extra-args... -> port on stdout
 }
 ann_req() { # port method path -> full response on stdout
     exec 4<>"/dev/tcp/127.0.0.1/$1"
-    printf '%s %s HTTP/1.1\r\nHost: verify\r\nContent-Length: 0\r\n\r\n' "$2" "$3" >&4
+    printf '%s %s HTTP/1.1\r\nHost: verify\r\nConnection: close\r\nContent-Length: 0\r\n\r\n' "$2" "$3" >&4
     cat <&4
     exec 4<&-
 }
@@ -310,7 +324,7 @@ start_stream_serve() { # logfile [env-prefix...] -> sets $sport and $stream_pid
 stream_req() { # port method path [body] -> full response on stdout
     local body="${4:-}"
     exec 6<>"/dev/tcp/127.0.0.1/$1"
-    printf '%s %s HTTP/1.1\r\nHost: verify\r\nContent-Length: %s\r\n\r\n%s' \
+    printf '%s %s HTTP/1.1\r\nHost: verify\r\nConnection: close\r\nContent-Length: %s\r\n\r\n%s' \
         "$2" "$3" "${#body}" "$body" >&6
     cat <&6
     exec 6<&-
@@ -409,7 +423,7 @@ grep -q 'brownout control armed' "$ovl/serve.log" || {
 ovl_req() { # method path [extra-header] -> full response on stdout
     exec 7<>"/dev/tcp/127.0.0.1/$ovl_port"
     {
-        printf '%s %s HTTP/1.1\r\nHost: verify\r\n' "$1" "$2"
+        printf '%s %s HTTP/1.1\r\nHost: verify\r\nConnection: close\r\n' "$1" "$2"
         if [[ -n "${3:-}" ]]; then printf '%s\r\n' "$3"; fi
         printf 'Content-Length: 0\r\n\r\n'
     } >&7

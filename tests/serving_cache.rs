@@ -14,31 +14,17 @@
 use lrgcn::models::{LayerGcn, LayerGcnConfig, Recommender};
 use lrgcn::prelude::*;
 use lrgcn_serve::cache::Key;
-use lrgcn_serve::{serve, Engine, EngineOptions, ServerConfig, TopKCache};
+use lrgcn_serve::{chaos, serve, Engine, EngineOptions, ServerConfig, TopKCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn http(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).ok();
-    let req = format!("{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n");
-    s.write_all(req.as_bytes()).expect("send");
-    let mut resp = String::new();
-    s.read_to_string(&mut resp).expect("response");
-    let status: u16 = resp
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("status line");
-    let body = resp
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    let resp = chaos::request(addr, method, path, &[], b"", Duration::from_secs(10))
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+    (resp.status, resp.body)
 }
 
 /// Item ids in ranked order from a `/recs` response body.

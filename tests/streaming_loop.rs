@@ -7,35 +7,30 @@
 
 use lrgcn::models::{LayerGcn, LayerGcnConfig, Recommender};
 use lrgcn::prelude::*;
-use lrgcn_serve::{serve, Engine, EngineOptions, Scratch, ServerConfig};
+use lrgcn_serve::{chaos, serve, Engine, EngineOptions, Scratch, ServerConfig};
 use lrgcn_stream::{pack_covered, EventLog, StreamEvent, COVERED_ENTRY};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// One request on a connection of its own: (status, echoed request id, body).
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).ok();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nx-lrgcn-request-id: loop-test-1\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    s.write_all(req.as_bytes()).expect("send");
-    let mut resp = String::new();
-    s.read_to_string(&mut resp).expect("response");
-    let status: u16 = resp
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .expect("status line");
-    let (head, b) = resp.split_once("\r\n\r\n").unwrap_or(("", ""));
-    (status, head.to_string(), b.to_string())
+    let resp = chaos::request(
+        addr,
+        method,
+        path,
+        &[("x-lrgcn-request-id", "loop-test-1")],
+        body.as_bytes(),
+        Duration::from_secs(10),
+    )
+    .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+    let id = resp.header("x-lrgcn-request-id").unwrap_or("").to_string();
+    (resp.status, id, resp.body)
 }
 
 /// Fixture: a trained LayerGCN checkpoint over the games-like preset.
@@ -245,9 +240,9 @@ fn closed_loop_ingest_retrain_reload_drops_nothing() {
             )
         })
         .collect();
-    let (status, head, body) = http(addr, "POST", "/events", &batch);
+    let (status, echoed_id, body) = http(addr, "POST", "/events", &batch);
     assert_eq!(status, 200, "{body}");
-    assert!(head.contains("x-lrgcn-request-id: loop-test-1"), "{head}");
+    assert_eq!(echoed_id, "loop-test-1");
     assert!(body.contains("\"accepted\":4"), "{body}");
     // Replaying the same client/seq batch is a no-op: acked exactly once.
     let (status2, _, body2) = http(addr, "POST", "/events", &batch);
