@@ -559,12 +559,21 @@ pub(crate) mod tests_support {
     pub(crate) fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
     }
+
+    /// Held by every test that trains: the `--log-json` sink is
+    /// process-global, so a run beside an armed one writes its records
+    /// into the other's log. (A poisoned lock just means such a test
+    /// already failed.)
+    pub(crate) fn train_lock() -> std::sync::MutexGuard<'static, ()> {
+        static TRAINING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        TRAINING.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tests_support::{argv, write_fixture};
+    use tests_support::{argv, train_lock, write_fixture};
 
     #[test]
     fn unknown_command_errors_with_usage() {
@@ -585,6 +594,7 @@ mod tests {
 
     #[test]
     fn train_evaluate_recommend_roundtrip() {
+        let _training = train_lock();
         let dir = std::env::temp_dir().join("lrgcn_cli_roundtrip");
         let path = write_fixture(&dir);
         let ckpt = dir.join("model.ckpt");
@@ -613,6 +623,7 @@ mod tests {
 
     #[test]
     fn train_other_models_and_save_support() {
+        let _training = train_lock();
         let dir = std::env::temp_dir().join("lrgcn_cli_other");
         let path = write_fixture(&dir);
         run(argv(&format!(
@@ -638,6 +649,7 @@ mod tests {
 
     #[test]
     fn lightgcn_save_evaluate_recommend_roundtrip() {
+        let _training = train_lock();
         let dir = std::env::temp_dir().join("lrgcn_cli_lightgcn_ckpt");
         let path = write_fixture(&dir);
         let ckpt = dir.join("lightgcn.ckpt");
@@ -681,6 +693,7 @@ mod tests {
 
     #[test]
     fn lrgccf_save_evaluate_roundtrip() {
+        let _training = train_lock();
         let dir = std::env::temp_dir().join("lrgcn_cli_lrgccf_ckpt");
         let path = write_fixture(&dir);
         let ckpt = dir.join("lrgccf.ckpt");
@@ -705,6 +718,7 @@ mod tests {
 
     #[test]
     fn checkpoint_and_resume_flags_roundtrip() {
+        let _training = train_lock();
         let dir = std::env::temp_dir().join("lrgcn_cli_ckpt_resume");
         std::fs::remove_dir_all(&dir).ok();
         let path = write_fixture(&dir);
@@ -751,6 +765,7 @@ mod tests {
 
     #[test]
     fn recommend_validates_user_range() {
+        let _training = train_lock();
         let dir = std::env::temp_dir().join("lrgcn_cli_range");
         let path = write_fixture(&dir);
         let ckpt = dir.join("m.ckpt");
@@ -773,6 +788,7 @@ mod tests {
 
     #[test]
     fn log_json_produces_parseable_epoch_records() {
+        let _training = train_lock();
         use lrgcn::obs::{json, sink};
         let dir = std::env::temp_dir().join("lrgcn_cli_logjson");
         let path = write_fixture(&dir);
@@ -784,9 +800,8 @@ mod tests {
             log_path.display()
         )))
         .expect("train with --log-json");
-        // Other tests in this process may train concurrently while the
-        // global sink is installed; uninstall before reading so the file is
-        // complete and flushed.
+        // Uninstall before reading so the file is complete and flushed
+        // (and before the lock drops, so no later run writes into it).
         sink::uninstall();
 
         let text = std::fs::read_to_string(&log_path).expect("log file written");

@@ -241,7 +241,7 @@ fn trigger_reload(url: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests_support::{argv, write_fixture};
+    use crate::tests_support::{argv, train_lock, write_fixture};
     use lrgcn_stream::StreamEvent;
 
     /// The full offline half of the loop: train a base generation, append
@@ -249,6 +249,7 @@ mod tests {
     /// generation covers them and serves the new users.
     #[test]
     fn retrain_folds_the_log_and_advances_the_generation() {
+        let _training = train_lock();
         let dir = std::env::temp_dir().join("lrgcn_cli_retrain");
         std::fs::remove_dir_all(&dir).ok();
         let input = write_fixture(&dir);

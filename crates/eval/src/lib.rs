@@ -17,7 +17,7 @@ pub mod topk;
 pub mod ttest;
 
 pub use topk::{
-    evaluate_ranking, evaluate_ranking_parallel, overlap_fraction, top_k_indices,
+    evaluate_ranking, evaluate_ranking_parallel, overlap_fraction, rank_order, top_k_indices,
     top_k_indices_into, top_k_with_scores, EvalReport, RankingMetrics, Split,
 };
 pub use ttest::{paired_t_test, TTestResult};

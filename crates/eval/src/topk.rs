@@ -14,6 +14,7 @@
 use crate::metrics;
 use lrgcn_data::Dataset;
 use lrgcn_tensor::{par, Matrix};
+use std::cmp::Ordering;
 
 /// Which held-out split to evaluate against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,37 +68,99 @@ impl EvalReport {
     }
 }
 
+/// The one ranking order of the workspace, over `(index, score)` pairs:
+/// score descending, ties toward the lower index. `sort_by(rank_order)`
+/// puts the best candidate first.
+///
+/// # Panics
+/// Panics if either score is NaN.
+pub fn rank_order(a: &(u32, f32), b: &(u32, f32)) -> Ordering {
+    b.1.partial_cmp(&a.1)
+        .expect("scores must not be NaN")
+        .then(a.0.cmp(&b.0))
+}
+
 /// Selects the indices of the `k` largest scores (ties broken toward lower
-/// index, deterministically). `O(n)` via partial selection, then sorts the
-/// winners by descending score.
+/// index, deterministically), best first. One pass over the scores; see
+/// [`top_k_indices_into`].
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<u32> {
     let mut idx = Vec::new();
     top_k_indices_into(scores, k, &mut idx);
     idx
 }
 
+/// Scores per threshold test in [`top_k_indices_into`]: a fixed width, so
+/// the test compiles to a few vector compares and one branch.
+const SELECT_CHUNK: usize = 64;
+
+/// Whether score `s` gets past threshold `t` in [`top_k_indices_into`]:
+/// `s > t`, or either one is NaN. Written `s > t` a NaN would be dropped
+/// in silence; the negated form hands it on to [`rank_order`], which
+/// panics.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+#[inline]
+fn admits(s: f32, t: f32) -> bool {
+    !(s <= t)
+}
+
 /// Scratch-buffer variant of [`top_k_indices`]: leaves the selected indices
 /// in `idx`, reusing its allocation. Evaluation loops call this once per
 /// user with a per-thread scratch vector, turning `n_users` candidate-index
 /// allocations into one per thread.
+///
+/// One pass with a running threshold `t`, the score of the `k`-th best
+/// candidate known so far (at first, of the first `k` indices). The scan
+/// visits indices in ascending order, so everything already in `idx` has a
+/// lower index than the score `s` under the cursor, and under
+/// [`rank_order`] an equal score loses to the lower index: `s` can enter
+/// the top `k` only if `s > t`, strictly. `s <= t` therefore rejects `s`
+/// for good — `k` candidates that rank ahead of it are already held — and
+/// a chunk in which it holds for every score is skipped without touching
+/// `idx`. The others are appended; at `2k` entries `idx` is cut back to
+/// its best `k` with [`rank_order`] and `t` rises. A stale `t` only admits
+/// too much, never rejects a winner, and the final cut and sort use
+/// [`rank_order`] alone, so the output is that of sorting every index.
+///
+/// # Panics
+/// Panics with `"scores must not be NaN"` on a NaN score, as sorting every
+/// index would: the test is `!(s <= t)`, which a NaN on either side gets
+/// past, and every index that does meets [`rank_order`].
 pub fn top_k_indices_into(scores: &[f32], k: usize, idx: &mut Vec<u32>) {
     idx.clear();
     let k = k.min(scores.len());
     if k == 0 {
         return;
     }
-    idx.extend(0..scores.len() as u32);
-    let cmp = |&a: &u32, &b: &u32| {
-        scores[b as usize]
-            .partial_cmp(&scores[a as usize])
-            .expect("scores must not be NaN")
-            .then(a.cmp(&b))
-    };
-    if k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, cmp);
-        idx.truncate(k);
+    let by_rank =
+        |a: &u32, b: &u32| rank_order(&(*a, scores[*a as usize]), &(*b, scores[*b as usize]));
+    idx.extend(0..k as u32);
+    if k < scores.len() {
+        let worst = *idx.iter().max_by(|a, b| by_rank(a, b)).expect("k > 0");
+        let mut t = scores[worst as usize];
+        let mut base = k;
+        for chunk in scores[k..].chunks(SELECT_CHUNK) {
+            // No early exit inside the chunk: a plain OR-reduction is what
+            // the compiler vectorises.
+            if chunk.iter().fold(false, |hit, &s| hit | admits(s, t)) {
+                for (off, &s) in chunk.iter().enumerate() {
+                    if admits(s, t) {
+                        idx.push((base + off) as u32);
+                        if idx.len() == 2 * k {
+                            idx.select_nth_unstable_by(k - 1, by_rank);
+                            idx.truncate(k);
+                            t = scores[idx[k - 1] as usize];
+                        }
+                    }
+                }
+            }
+            base += chunk.len();
+        }
+        if idx.len() > k {
+            idx.select_nth_unstable_by(k - 1, by_rank);
+            idx.truncate(k);
+        }
     }
-    idx.sort_by(cmp);
+    idx.sort_by(by_rank);
 }
 
 /// [`top_k_indices`] paired with the winning scores — the shape a serving

@@ -18,8 +18,13 @@
 //! *which* cells are in flight together (independent accumulators), never
 //! the order of adds within one cell, and the SIMD paths use separate
 //! multiply and add instructions (no FMA), which are lane-wise identical to
-//! the scalar ops. For finite inputs the three kernels are therefore
-//! bitwise identical — the golden-trajectory, grad-check and
+//! the scalar ops. Where a kernel's cells do not lie side by side in memory
+//! — `matmul_nt` in `lrgcn-tensor`, whose cells along an output row are
+//! dots with *different* B rows — the AVX2 path first transposes a panel of
+//! sixteen B rows so that they do; that moves values without touching
+//! them, and lane `j` then runs cell `j`'s scalar chain (from `+0.0`,
+//! multiply then add, ascending `k`). For finite inputs the three kernels
+//! are therefore bitwise identical — the golden-trajectory, grad-check and
 //! thread-equality suites pass unchanged under every `LRGCN_KERNEL` value.
 //! (The one caveat: the naive reference skips zero multipliers, so a
 //! non-finite value multiplied by zero would produce NaN only in the tiled

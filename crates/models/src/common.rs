@@ -2,7 +2,7 @@
 
 use lrgcn_data::{BprBatch, Dataset};
 use lrgcn_tensor::tape::{SharedCsr, Tape, Var};
-use lrgcn_tensor::Matrix;
+use lrgcn_tensor::{par, Matrix};
 use std::rc::Rc;
 
 /// Stacks `layers` LightGCN propagation steps `X^{l+1} = Â X^l` on the tape,
@@ -102,11 +102,11 @@ pub fn split_user_item(final_x: &Matrix, n_users: usize) -> (Matrix, Matrix) {
 }
 
 /// Scores `users x n_items` by dot product from a final node matrix
-/// (Eq. 10).
+/// (Eq. 10), against the item rows where they lie in `final_x`.
 pub fn score_from_final(final_x: &Matrix, n_users: usize, users: &[u32]) -> Matrix {
-    let items = final_x.slice_rows(n_users, final_x.rows());
+    let items = &final_x.data()[n_users * final_x.cols()..];
     let u = final_x.gather_rows(users);
-    u.matmul_nt(&items)
+    u.matmul_nt_rows(items, final_x.rows() - n_users, par::effective_threads())
 }
 
 /// LightGCN-style propagation with plain matrices (no tape) — used at

@@ -136,7 +136,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn engine() -> Arc<Engine> {
+    /// One directory per test: `save_model` stages to `m.ckpt.tmp` and
+    /// renames, so two tests saving to one path race on the rename.
+    fn engine(test: &str) -> Arc<Engine> {
         let ds = Arc::new(Dataset::from_parts(
             "tiny",
             3,
@@ -145,7 +147,7 @@ mod tests {
             vec![vec![]; 3],
             vec![vec![2], vec![3], vec![0]],
         ));
-        let dir = std::env::temp_dir().join("lrgcn_batch_test");
+        let dir = std::env::temp_dir().join(format!("lrgcn_batch_test_{test}"));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let ckpt = dir.join("m.ckpt");
         let mut rng = StdRng::seed_from_u64(5);
@@ -171,7 +173,7 @@ mod tests {
 
     #[test]
     fn concurrent_submissions_coalesce_and_all_answer() {
-        let eng = engine();
+        let eng = engine("coalesce");
         let batcher = Batcher::new(Duration::from_millis(2));
         let scorer = {
             let b = batcher.clone();
@@ -205,7 +207,7 @@ mod tests {
 
     #[test]
     fn bad_ids_fail_their_request_without_poisoning_neighbours() {
-        let eng = engine();
+        let eng = engine("bad_ids");
         let batcher = Batcher::new(Duration::from_millis(5));
         let scorer = {
             let b = batcher.clone();

@@ -30,7 +30,7 @@ use crate::delta::StreamDelta;
 use lrgcn_data::Dataset;
 use lrgcn_models::foldin::FoldInBasis;
 use lrgcn_stream::{EventLog, StreamEvent};
-use lrgcn_eval::{overlap_fraction, top_k_indices_into, top_k_with_scores};
+use lrgcn_eval::{overlap_fraction, rank_order, top_k_indices_into, top_k_with_scores};
 use lrgcn_graph::EdgePruner;
 use lrgcn_models::checkpoint::{model_tag, require_entry, SERVABLE_TAGS};
 use lrgcn_models::common::score_from_final;
@@ -503,11 +503,7 @@ impl EngineState {
             extended = true;
         }
         if extended {
-            out.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("scores must not be NaN")
-                    .then(a.0.cmp(&b.0))
-            });
+            out.sort_by(rank_order);
             out.truncate(k);
         }
         Ok(out)
@@ -582,11 +578,7 @@ impl EngineState {
             .map(|&i| (i, dot(row, self.item_row(i as usize))))
             .collect();
         registry::add(Counter::QuantRescored, out.len() as u64);
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("scores must not be NaN")
-                .then(a.0.cmp(&b.0))
-        });
+        out.sort_by(rank_order);
         out.truncate(k);
         out
     }
@@ -622,11 +614,7 @@ impl EngineState {
                 .filter(|&&it| keep(it))
                 .map(|&it| (it, qt.score_row(it as usize, &scratch.qbuf, q_scale)))
                 .collect();
-            approx.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("scores must not be NaN")
-                    .then(a.0.cmp(&b.0))
-            });
+            approx.sort_by(rank_order);
             approx.truncate(k.saturating_mul(CANDIDATE_FACTOR));
             let rescored: Vec<(u32, f32)> = approx
                 .iter()
@@ -642,11 +630,7 @@ impl EngineState {
                 .map(|&it| (it, dot(row, self.item_row(it as usize))))
                 .collect()
         };
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("scores must not be NaN")
-                .then(a.0.cmp(&b.0))
-        });
+        out.sort_by(rank_order);
         out.truncate(k);
         out
     }
@@ -717,11 +701,7 @@ impl EngineState {
                 })
                 .collect();
             registry::add(Counter::QuantRescored, out.len() as u64);
-            out.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("scores must not be NaN")
-                    .then(a.0.cmp(&b.0))
-            });
+            out.sort_by(rank_order);
             out.truncate(k);
             return Ok(out);
         }
@@ -775,11 +755,7 @@ impl EngineState {
                     (it, if n > 0.0 { s / n } else { 0.0 })
                 })
                 .collect();
-            approx.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("scores must not be NaN")
-                    .then(a.0.cmp(&b.0))
-            });
+            approx.sort_by(rank_order);
             approx.truncate(k.saturating_mul(CANDIDATE_FACTOR));
             let rescored: Vec<(u32, f32)> =
                 approx.iter().map(|&(it, _)| (it, exact_cos(it))).collect();
@@ -793,11 +769,7 @@ impl EngineState {
                 .map(|&it| (it, exact_cos(it)))
                 .collect()
         };
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("scores must not be NaN")
-                .then(a.0.cmp(&b.0))
-        });
+        out.sort_by(rank_order);
         out.truncate(k);
         out
     }
@@ -1610,6 +1582,71 @@ mod tests {
         );
         m.train_epoch(ds, 0, &mut rng);
         save_model(path, "layergcn", &m).expect("save");
+    }
+
+    /// The `serve_scan` shape in miniature: a catalogue that is two 16-item
+    /// kernel panels plus a remainder, where only the first seven items
+    /// were ever interacted with. LayerGCN drops the ego layer, so every
+    /// isolated item's final row is all zeros and most of the row ties at
+    /// score 0 — the select must break those ties by index, and the scan
+    /// must produce the same bits for panel lanes and remainder cells.
+    #[test]
+    fn exact_top_k_equals_brute_force_on_a_mostly_isolated_catalogue() {
+        let (n_users, n_items) = (5u32, 37u32);
+        let train: Vec<(u32, u32)> = (0..n_users)
+            .flat_map(|u| (0..3).map(move |o| (u, (u + o) % 7)))
+            .collect();
+        let ds = Arc::new(Dataset::from_parts(
+            "isolated",
+            n_users as usize,
+            n_items as usize,
+            train,
+            vec![vec![]; n_users as usize],
+            vec![vec![]; n_users as usize],
+        ));
+        let dir = std::env::temp_dir().join("lrgcn_engine_isolated");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let ckpt = dir.join("m.ckpt");
+        save_layergcn(&ds, &ckpt);
+        let eng = Engine::open(&ckpt, ds.clone(), EngineOptions {
+            n_layers: 2,
+            ..EngineOptions::default()
+        })
+        .expect("open");
+        let st = eng.state();
+        let zero_rows = (0..n_items as usize)
+            .filter(|&i| st.item_row(i).iter().all(|&x| x == 0.0))
+            .count();
+        assert_eq!(
+            zero_rows, 30,
+            "every isolated item must have an all-zero row"
+        );
+
+        let mut scratch = Scratch::default();
+        for u in 0..n_users {
+            for exclude_seen in [true, false] {
+                let urow = st.final_emb.row(u as usize);
+                let mut want: Vec<(u32, f32)> = (0..n_items)
+                    .filter(|it| !(exclude_seen && ds.train_items(u).contains(it)))
+                    .map(|it| (it, dot(urow, st.item_row(it as usize))))
+                    .collect();
+                want.sort_by(rank_order);
+                for k in [1usize, 5, 20, 37, 50] {
+                    let got = st
+                        .top_k_into(&ds, u, k, exclude_seen, &mut scratch)
+                        .expect("top_k");
+                    let bits = |v: &[(u32, f32)]| -> Vec<(u32, u32)> {
+                        v.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want[..k.min(want.len())]),
+                        "user {u} k {k} exclude_seen {exclude_seen}"
+                    );
+                }
+            }
+        }
+        std::fs::remove_file(ckpt).ok();
     }
 
     fn ev(user: u32, item: u32, seq: u64) -> StreamEvent {

@@ -21,22 +21,26 @@
 //!
 //! ## Determinism contract
 //!
-//! Every output cell is accumulated by a single accumulator in ascending
-//! `k` order in all three modes, so for finite inputs the kernels are
-//! bitwise identical to each other and to serial execution — the property
-//! `tests/kernel_equality.rs` pins. [`dot`] is the one kernel that stays
-//! scalar in every mode: its value is a *single* sequential dependent add
-//! chain, and any lane-split reassociation would change the result. The
-//! `matmul_nt` kernels get their speedup elsewhere — computing eight
-//! independent cells per pass (eight chains in flight hides the add
-//! latency) — without touching any chain's order.
+//! Every output cell is accumulated by a single accumulator, from `+0.0`,
+//! in ascending `k` order in all three modes, so for finite inputs the
+//! kernels are bitwise identical to each other and to serial execution —
+//! the property `tests/kernel_equality.rs` pins. [`dot`] is the one kernel
+//! that stays scalar in every mode: its value is a *single* sequential
+//! dependent add chain, and splitting that chain across lanes would
+//! reassociate it. The `matmul_nt` kernels vectorize *across* chains
+//! instead: `blocked` keeps eight scalar chains in flight, and `simd` puts
+//! sixteen B rows (items) on the AVX2 lanes — a panel of B rows is
+//! transposed once into a `kk`-major scratch so that lane `j` of one
+//! broadcast-multiply-then-add is exactly step `kk` of cell `j`'s scalar
+//! chain. Transposing only moves values, so no chain's operands or order
+//! change.
 
 pub use lrgcn_graph::kernels::{
     active_kernel, count_dispatch, set_kernel, simd_available, spmm_block, Kernel, TILE,
 };
 
-/// Rows per register tile in `matmul_tn`: four output rows share each
-/// streamed B row.
+/// Rows per register tile in `matmul_tn` and the AVX2 `matmul_nt`: four
+/// output rows share each streamed B row (or packed B panel line).
 const MR: usize = 4;
 
 /// Operands with at least this fraction of zeros take the zero-skipping
@@ -350,9 +354,9 @@ fn matmul_tn_row(
 ///
 /// `a_block` holds the A rows matching `out_block` (`k` columns each), `b`
 /// the full right operand in row-major `n_brows x k` layout. Each output
-/// cell is the [`dot`] of an A row and a B row; the blocked/simd modes run
-/// eight cells per pass (eight independent chains hide the FP add
-/// latency), each chain still in exact `k` order.
+/// cell is the [`dot`] of an A row and a B row. `blocked` runs eight cells
+/// per pass as scalar chains; `simd` rides sixteen B rows on the AVX2
+/// lanes ([`matmul_nt_avx2`]); every chain stays in exact `k` order.
 pub fn matmul_nt_block(
     kernel: Kernel,
     a_block: &[f32],
@@ -366,6 +370,13 @@ pub fn matmul_nt_block(
     }
     if k == 0 {
         out_block.fill(0.0);
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Simd && simd_available() {
+        // SAFETY: AVX2 was detected just above; the function checks its
+        // operand lengths itself.
+        unsafe { matmul_nt_avx2(a_block, k, b, n, out_block) };
         return;
     }
     for (arow, orow) in a_block.chunks_exact(k).zip(out_block.chunks_exact_mut(n)) {
@@ -398,6 +409,181 @@ fn matmul_nt_row_blocked(arow: &[f32], k: usize, b: &[f32], orow: &mut [f32]) {
     }
     for (jj, o) in orow.iter_mut().enumerate().skip(j) {
         *o = dot(arow, &b[jj * k..jj * k + k]);
+    }
+}
+
+/// B rows per panel in [`matmul_nt_avx2`]: two `ymm` registers of cells.
+#[cfg(target_arch = "x86_64")]
+const NT_NR: usize = 16;
+
+/// A rows per cache block in [`matmul_nt_avx2`]: 256 rows of a 64-wide
+/// operand are 64 KiB, so the block stays in L2 while every panel of B
+/// walks over it.
+#[cfg(target_arch = "x86_64")]
+const NT_MC: usize = 256;
+
+/// One `kk` of a transposed B panel: element `t` belongs to the panel's
+/// B row `t`. A cache line, aligned, so a tile reads it in two loads.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct PanelLine([f32; NT_NR]);
+
+/// AVX2 `A · Bᵀ` with the B rows on the lanes. Per panel of [`NT_NR`] B
+/// rows: transpose it once into `kk`-major [`PanelLine`]s, then walk the A
+/// rows of the current block over it with an `MR x NT_NR` register tile
+/// (eight accumulators, four broadcast A values and two panel loads per
+/// `kk`); leftover A rows use a one-row tile and the `n % NT_NR` leftover
+/// B rows the scalar [`dot`].
+///
+/// Lane `j` of a tile performs exactly cell `j`'s scalar sequence: its
+/// accumulator starts at `+0.0` and takes one `_mm256_mul_ps` then one
+/// `_mm256_add_ps` (never FMA) per `kk`, ascending — the same products in
+/// the same order as [`dot`], so the result is bitwise equal to `naive`.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_nt_avx2(a_block: &[f32], k: usize, b: &[f32], n: usize, out_block: &mut [f32]) {
+    let m = out_block.len() / n;
+    assert!(
+        out_block.len() == m * n && a_block.len() == m * k && b.len() >= n * k,
+        "matmul_nt operand lengths: a {} b {} out {} for {m} x {k} x {n}",
+        a_block.len(),
+        b.len(),
+        out_block.len(),
+    );
+    let full = n - n % NT_NR;
+    let mut panel = vec![PanelLine([0.0; NT_NR]); k];
+    let ap = a_block.as_ptr();
+    let op = out_block.as_mut_ptr();
+    for i0 in (0..m).step_by(NT_MC) {
+        let i_end = (i0 + NT_MC).min(m);
+        for j0 in (0..full).step_by(NT_NR) {
+            nt_pack_panel(&b[j0 * k..(j0 + NT_NR) * k], k, &mut panel);
+            let mut i = i0;
+            // SAFETY: rows `i..i + R` lie below `m` and columns
+            // `j0..j0 + NT_NR` below `n`, so with the lengths asserted
+            // above every A read stays inside `a_block` and every store
+            // inside `out_block`.
+            while i + MR <= i_end {
+                nt_tile::<MR>(ap.add(i * k), k, &panel, op.add(i * n + j0), n);
+                i += MR;
+            }
+            while i < i_end {
+                nt_tile::<1>(ap.add(i * k), k, &panel, op.add(i * n + j0), n);
+                i += 1;
+            }
+        }
+    }
+    if full < n {
+        for (arow, orow) in a_block.chunks_exact(k).zip(out_block.chunks_exact_mut(n)) {
+            for (j, o) in orow.iter_mut().enumerate().skip(full) {
+                *o = dot(arow, &b[j * k..j * k + k]);
+            }
+        }
+    }
+}
+
+/// Transposes [`NT_NR`] consecutive B rows (`rows`, `k` floats each) into
+/// `panel[kk].0[t] = rows[t * k + kk]`: 8 x 8 blocks in registers, scalar
+/// for the `k % 8` tail. Pure data movement.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn nt_pack_panel(rows: &[f32], k: usize, panel: &mut [PanelLine]) {
+    use std::arch::x86_64::*;
+    assert!(rows.len() == NT_NR * k && panel.len() == k, "panel shape");
+    let k8 = k - k % 8;
+    for half in 0..NT_NR / 8 {
+        let src = rows.as_ptr().add(half * 8 * k);
+        for kk in (0..k8).step_by(8) {
+            // SAFETY: row `t < 8` of this half starts at `src + t * k` and
+            // `kk + 8 <= k`, inside `rows` by the assert above.
+            let at = src.add(kk);
+            let r: [__m256; 8] = [
+                _mm256_loadu_ps(at),
+                _mm256_loadu_ps(at.add(k)),
+                _mm256_loadu_ps(at.add(2 * k)),
+                _mm256_loadu_ps(at.add(3 * k)),
+                _mm256_loadu_ps(at.add(4 * k)),
+                _mm256_loadu_ps(at.add(5 * k)),
+                _mm256_loadu_ps(at.add(6 * k)),
+                _mm256_loadu_ps(at.add(7 * k)),
+            ];
+            // Pairs of rows interleaved, then pairs of pairs: `q[c]` holds
+            // column `c` of rows 0..4 in its low half and column `c + 4`
+            // in its high half (`q[4 + c]` the same for rows 4..8).
+            let u: [__m256; 8] = [
+                _mm256_unpacklo_ps(r[0], r[1]),
+                _mm256_unpackhi_ps(r[0], r[1]),
+                _mm256_unpacklo_ps(r[2], r[3]),
+                _mm256_unpackhi_ps(r[2], r[3]),
+                _mm256_unpacklo_ps(r[4], r[5]),
+                _mm256_unpackhi_ps(r[4], r[5]),
+                _mm256_unpacklo_ps(r[6], r[7]),
+                _mm256_unpackhi_ps(r[6], r[7]),
+            ];
+            let q: [__m256; 8] = [
+                _mm256_shuffle_ps::<0x44>(u[0], u[2]),
+                _mm256_shuffle_ps::<0xEE>(u[0], u[2]),
+                _mm256_shuffle_ps::<0x44>(u[1], u[3]),
+                _mm256_shuffle_ps::<0xEE>(u[1], u[3]),
+                _mm256_shuffle_ps::<0x44>(u[4], u[6]),
+                _mm256_shuffle_ps::<0xEE>(u[4], u[6]),
+                _mm256_shuffle_ps::<0x44>(u[5], u[7]),
+                _mm256_shuffle_ps::<0xEE>(u[5], u[7]),
+            ];
+            for c in 0..4 {
+                let lo = _mm256_permute2f128_ps::<0x20>(q[c], q[4 + c]);
+                let hi = _mm256_permute2f128_ps::<0x31>(q[c], q[4 + c]);
+                _mm256_store_ps(panel[kk + c].0.as_mut_ptr().add(half * 8), lo);
+                _mm256_store_ps(panel[kk + c + 4].0.as_mut_ptr().add(half * 8), hi);
+            }
+        }
+    }
+    for (kk, line) in panel.iter_mut().enumerate().skip(k8) {
+        for (t, v) in line.0.iter_mut().enumerate() {
+            *v = rows[t * k + kk];
+        }
+    }
+}
+
+/// `R` A rows against one packed panel: `out[r][..NT_NR] = a[r] · panelᵀ`,
+/// accumulators in registers across the whole `k` loop.
+///
+/// # Safety
+/// The CPU must support AVX2; `a` must be valid for reads of `R` rows of
+/// `k` floats (stride `k`) and `out` for writes of [`NT_NR`] floats in each
+/// of `R` rows of stride `n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn nt_tile<const R: usize>(
+    a: *const f32,
+    k: usize,
+    panel: &[PanelLine],
+    out: *mut f32,
+    n: usize,
+) {
+    use std::arch::x86_64::*;
+    let mut lo = [_mm256_setzero_ps(); R];
+    let mut hi = [_mm256_setzero_ps(); R];
+    for (kk, line) in panel.iter().enumerate() {
+        let p0 = _mm256_load_ps(line.0.as_ptr());
+        let p1 = _mm256_load_ps(line.0.as_ptr().add(8));
+        for r in 0..R {
+            let av = _mm256_set1_ps(*a.add(r * k + kk));
+            lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, p0));
+            hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, p1));
+        }
+    }
+    for r in 0..R {
+        _mm256_storeu_ps(out.add(r * n), lo[r]);
+        _mm256_storeu_ps(out.add(r * n + 8), hi[r]);
     }
 }
 
@@ -452,12 +638,15 @@ pub fn argmin_first(scores: &[f32]) -> usize {
 // dot + elementwise
 // ---------------------------------------------------------------------------
 
-/// Dot product of two equal-length slices — a single sequential add chain,
-/// identical in every kernel mode (see the module docs for why it cannot
-/// be vectorized without changing the result).
+/// Dot product of two equal-length slices — a single sequential add chain
+/// from `+0.0`, identical in every kernel mode (see the module docs for
+/// why it cannot be vectorized without changing the result). The fold is
+/// written out because `Iterator::sum` starts from `-0.0`: a row pair whose
+/// products are all `-0.0` would then differ in sign from the same cell of
+/// a tiled `matmul_nt`, whose accumulators start at `+0.0`.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(0.0, |s, (x, y)| s + x * y)
 }
 
 /// `y[i] += x[i]`. Elementwise kernels are order-free per element, so one

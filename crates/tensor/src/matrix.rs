@@ -229,9 +229,9 @@ impl Matrix {
     }
 
     /// [`Self::matmul_nt`] with an explicit thread count. Each output cell
-    /// is one [`dot`]-ordered chain (the blocked kernels just keep several
-    /// chains in flight), so any row partitioning is trivially bitwise
-    /// identical to serial.
+    /// is one [`dot`]-ordered chain (the blocked and simd kernels keep
+    /// several chains in flight, side by side), so any row partitioning is
+    /// trivially bitwise identical to serial.
     pub fn matmul_nt_with_threads(&self, other: &Matrix, threads: usize) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -239,11 +239,29 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
+        self.matmul_nt_rows(&other.data, other.rows, threads)
+    }
+
+    /// [`Self::matmul_nt_with_threads`] against a borrowed right operand:
+    /// `other` is `other_rows` row-major rows of `self.cols()` floats — a
+    /// row range of a larger table (the item block of a node matrix)
+    /// scored in place, without copying it into a `Matrix` first.
+    ///
+    /// # Panics
+    /// Panics if `other.len() != other_rows * self.cols()`.
+    pub fn matmul_nt_rows(&self, other: &[f32], other_rows: usize, threads: usize) -> Matrix {
+        assert_eq!(
+            other.len(),
+            other_rows * self.cols,
+            "matmul_nt shape mismatch: {:?} x ({other_rows}, {})^T",
+            self.shape(),
+            self.cols
+        );
         registry::add(Counter::MatmulCalls, 1);
-        registry::add(Counter::MatmulCells, (self.rows * other.rows) as u64);
+        registry::add(Counter::MatmulCells, (self.rows * other_rows) as u64);
         let _span = lrgcn_obs::trace::span("matmul_nt", "kernel");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let ocols = other.rows;
+        let mut out = Matrix::zeros(self.rows, other_rows);
+        let ocols = other_rows;
         if ocols == 0 {
             return out;
         }
@@ -252,7 +270,7 @@ impl Matrix {
         par::par_row_chunks_mut(&mut out.data, ocols, threads, |start_row, block| {
             let rows = block.len() / ocols;
             let a_block = &self.data[start_row * self.cols..(start_row + rows) * self.cols];
-            kernels::matmul_nt_block(kern, a_block, self.cols, &other.data, ocols, block);
+            kernels::matmul_nt_block(kern, a_block, self.cols, other, ocols, block);
         });
         out
     }

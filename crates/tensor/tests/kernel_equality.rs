@@ -66,8 +66,13 @@ fn kernels_under_test() -> Vec<Kernel> {
 /// degenerate boundaries of the dispatch paths — `k = 0` (no shared dim:
 /// the kernels must produce a well-defined all-zero product), `n = 0`
 /// (empty right operand), and single-row/single-column operands that keep
-/// every tile loop in its tail case.
-const SHAPES: [(usize, usize, usize); 15] = [
+/// every tile loop in its tail case. The last six are the edges of the
+/// AVX2 `matmul_nt` panel kernel: one full 16-row B panel under a one-row
+/// tile with and without a `k % 8` tail, a 4-row tile over `k = 8 + 1`,
+/// panels plus a `n % 16` remainder under 4 + 4 + 1 A rows, `k = 64 + 1`
+/// with one panel and 15 leftover B rows, and more A rows than one
+/// 256-row cache block.
+const SHAPES: [(usize, usize, usize); 21] = [
     (0, 3, 4),
     (1, 1, 1),
     (1, 64, 33),
@@ -83,6 +88,12 @@ const SHAPES: [(usize, usize, usize); 15] = [
     (0, 0, 0),
     (1, 40, 1),
     (9, 1, 9),
+    (1, 64, 16),
+    (1, 7, 16),
+    (4, 9, 16),
+    (9, 64, 50),
+    (5, 65, 31),
+    (260, 8, 17),
 ];
 
 #[test]
@@ -168,6 +179,71 @@ fn matmul_nt_kernels_bitwise_match_naive() {
                     &format!("matmul_nt {m}x{k} x {n}x{k}^T {kern:?} t={threads}"),
                 );
             }
+        }
+    }
+    lrgcn_tensor::kernels::set_kernel(Kernel::Naive);
+}
+
+/// Values where a lane-wise kernel could plausibly part from the scalar
+/// chain: signed zeros (a chain of `-0.0` products keeps the sign of its
+/// starting accumulator), denormals (no flush-to-zero on either path) and
+/// ordinary values whose products underflow into them.
+fn edge_values(n: usize, seed: u64) -> Vec<f32> {
+    const ALPHABET: [f32; 10] = [
+        0.0,
+        -0.0,
+        1.0e-40,
+        -1.0e-40,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        1.0e-20,
+        -1.0e-20,
+        0.75,
+        -1.5,
+    ];
+    // `pseudo` is uniform on [-1, 1): five alphabet slots per unit.
+    pseudo(n, seed)
+        .iter()
+        .map(|&p| ALPHABET[((p + 1.0) * 5.0) as usize % ALPHABET.len()])
+        .collect()
+}
+
+#[test]
+fn matmul_nt_signed_zeros_and_denormals_bitwise_match_naive() {
+    let _guard = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // 4 + 1 A rows over two panels and a 5-row remainder; k has an 8-block
+    // and a tail.
+    let (m, k, n) = (5, 13, 37);
+    let mut a_data = edge_values(m * k, 91);
+    let mut b_data = edge_values(n * k, 92);
+    // Row 0 of A against rows 0 (a panel lane) and 36 (the `dot`
+    // remainder) of B: every product is `-0.0`, the one chain whose result
+    // shows the sign of the accumulator it started from.
+    a_data[..k].fill(-0.0);
+    b_data[..k].fill(2.0);
+    b_data[36 * k..].fill(3.0);
+    let a = Matrix::from_vec(m, k, a_data);
+    let b = Matrix::from_vec(n, k, b_data);
+    lrgcn_tensor::kernels::set_kernel(Kernel::Naive);
+    let reference = a.matmul_nt_with_threads(&b, 1);
+    assert_eq!(
+        reference[(0, 0)].to_bits(),
+        0.0f32.to_bits(),
+        "chains start at +0.0"
+    );
+    assert!(
+        reference.data().iter().any(|x| x.is_subnormal()),
+        "the case must produce denormal cells"
+    );
+    for kern in kernels_under_test() {
+        lrgcn_tensor::kernels::set_kernel(kern);
+        for threads in [1usize, 3] {
+            let got = a.matmul_nt_with_threads(&b, threads);
+            assert_bitwise_eq(
+                &reference,
+                &got,
+                &format!("matmul_nt edge values {kern:?} t={threads}"),
+            );
         }
     }
     lrgcn_tensor::kernels::set_kernel(Kernel::Naive);

@@ -23,7 +23,9 @@
 #      metrics) and every surviving checkpoint generation must still be
 #      loadable by `lrgcn evaluate --load`, plus a kill-mid-save + resume
 #      round-trip
-#   8. kernel sweep: the golden-trajectory suite re-run under every
+#   8. kernel sweep: the golden-trajectory suite, the tensor crate's
+#      kernel_equality suite and the eval crate's tests (top-K select,
+#      parallel evaluation) re-run under every
 #      LRGCN_KERNEL={naive,blocked,simd} × LRGCN_THREADS={1,8} pair — the
 #      cache-blocked and AVX2 kernels are contractually bitwise identical
 #      to the naive reference, so any trajectory drift fails the stage
@@ -43,12 +45,17 @@
 #      clients — sheds must be 503-with-Retry-After while goodput stays
 #      nonzero, a malformed x-lrgcn-deadline-ms must answer 400, and the
 #      degradation level must read 0 again after the burst
-#  12. quick runs of every benchmark bin, each written to a temp path —
+#  12. the repo's benchmark (BENCHMARK.json): `benchmark/repeat.sh --quick`
+#      builds the standalone package against the pinned surface and runs
+#      all four workloads plus one traced run on small presets — each must
+#      print `"correct": true` (served == offline parity, nothing lost) —
+#      then the package's own unit tests
+#  13. quick runs of every benchmark bin, each written to a temp path —
 #      the committed BENCH_*.json are historical artifacts of their own
 #      PRs and must stay byte-identical through verification (checked at
 #      the end against a checksum snapshot taken here)
 #
-# Usage: scripts/verify.sh [--skip-bench]
+# Usage: scripts/verify.sh [--skip-bench]   (--skip-bench drops stage 13)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -227,20 +234,23 @@ fi
     || { echo "verify: resume after mid-save kill failed"; exit 1; }
 echo "fault-injection smoke: OK"
 
-echo "==> kernel sweep: golden trajectory under every kernel x thread pair"
+echo "==> kernel sweep: golden trajectory, kernel equality, eval under every kernel x thread pair"
 for kernel in naive blocked simd; do
     for threads in 1 8; do
-        out=$(LRGCN_KERNEL=$kernel LRGCN_THREADS=$threads \
-            cargo test -q -p lrgcn-train --test golden_trajectory 2>&1) || {
-            echo "$out"
-            echo "verify: golden trajectory FAILED at LRGCN_KERNEL=$kernel LRGCN_THREADS=$threads"
-            exit 1
-        }
-        if grep -qi "drift" <<<"$out"; then
-            echo "$out"
-            echo "verify: trajectory drift at LRGCN_KERNEL=$kernel LRGCN_THREADS=$threads"
-            exit 1
-        fi
+        for suite in "-p lrgcn-train --test golden_trajectory" \
+            "-p lrgcn-tensor --test kernel_equality" "-p lrgcn-eval"; do
+            # shellcheck disable=SC2086  # $suite is a list of cargo arguments
+            out=$(LRGCN_KERNEL=$kernel LRGCN_THREADS=$threads cargo test -q $suite 2>&1) || {
+                echo "$out"
+                echo "verify: cargo test $suite FAILED at LRGCN_KERNEL=$kernel LRGCN_THREADS=$threads"
+                exit 1
+            }
+            if grep -qi "drift" <<<"$out"; then
+                echo "$out"
+                echo "verify: drift in cargo test $suite at LRGCN_KERNEL=$kernel LRGCN_THREADS=$threads"
+                exit 1
+            fi
+        done
         echo "kernel sweep: $kernel x $threads threads OK"
     done
 done
@@ -470,6 +480,19 @@ ovl_req POST /admin/shutdown >/dev/null || {
     echo "verify: overload smoke shutdown request failed"; exit 1; }
 wait "$ovl_pid" || { echo "verify: overload smoke serve exited non-zero"; exit 1; }
 echo "overload smoke: OK ($oks admitted, $sheds shed)"
+
+echo "==> benchmark smoke: pinned surface builds, every workload correct"
+bench_out=$(benchmark/repeat.sh --quick) || {
+    echo "$bench_out"
+    echo "verify: benchmark/repeat.sh --quick FAILED (build or output check)"
+    exit 1
+}
+echo "$bench_out"
+bench_ok=$(grep -c '^{"correct": true' <<<"$bench_out" || true)
+[[ "$bench_ok" == 5 ]] || {
+    echo "verify: $bench_ok of 5 benchmark runs printed \"correct\": true"; exit 1; }
+CARGO_TARGET_DIR=target/benchmark-build cargo test --offline -q --manifest-path benchmark/Cargo.toml
+echo "benchmark smoke: OK"
 
 if [[ "${1:-}" != "--skip-bench" ]]; then
     echo "==> bench: epoch + eval wall time at 1 vs N threads (--quick smoke)"
