@@ -136,6 +136,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Held by every test that scores through a batcher: they all feed the
+    /// process-wide `ServeScorePairs` counter, whose exact delta one test
+    /// asserts.
+    static SCORER: Mutex<()> = Mutex::new(());
+
     /// One directory per test: `save_model` stages to `m.ckpt.tmp` and
     /// renames, so two tests saving to one path race on the rename.
     fn engine(test: &str) -> Arc<Engine> {
@@ -173,6 +178,7 @@ mod tests {
 
     #[test]
     fn concurrent_submissions_coalesce_and_all_answer() {
+        let _serial = SCORER.lock().unwrap_or_else(|e| e.into_inner());
         let eng = engine("coalesce");
         let batcher = Batcher::new(Duration::from_millis(2));
         let scorer = {
@@ -207,6 +213,7 @@ mod tests {
 
     #[test]
     fn bad_ids_fail_their_request_without_poisoning_neighbours() {
+        let _serial = SCORER.lock().unwrap_or_else(|e| e.into_inner());
         let eng = engine("bad_ids");
         let batcher = Batcher::new(Duration::from_millis(5));
         let scorer = {

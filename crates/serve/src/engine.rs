@@ -17,20 +17,44 @@
 //! a torn state during a reload. The generation counter feeds the response
 //! cache keys, which is what invalidates cached answers.
 //!
+//! ## Live rows and the zero class
+//!
+//! The state stores the item table once, split by content: the **live**
+//! rows (any component other than `±0.0`), compacted in ascending id order
+//! behind the user rows, and the sorted ids of the all-zero rows, which
+//! share one zero row. LayerGCN's readout leaves the ego layer out, so
+//! every item without a training edge has an all-zero final row — most of
+//! a cold-heavy catalogue. Liveness is read from the table, never from the
+//! model tag: LightGCN's readout includes the ego layer, so its cold rows
+//! are not zero.
+//!
+//! Every kernel chain starts at `+0.0` and `+0.0 + (±0) = +0.0`, so for a
+//! finite query every zero row scores exactly `+0.0`. The scans therefore
+//! run over the live block only, and the zero rows enter a ranking as one
+//! class — `+0.0` at the lowest unmasked zero ids, merged under
+//! [`rank_order`] — and only when fewer than `k` live candidates survive
+//! or the k-th live score is `<= 0`. Live positions map to ids
+//! monotonically, so the index tie-break is the full scan's, and the
+//! answer is bitwise the full scan's. A query with a non-finite component
+//! (where `dot(row, 0)` may be NaN) takes a full-width fallback that scores
+//! and selects every id in one vector, NaN panic included.
+//!
 //! With [`EngineOptions::quant`] the state additionally carries an int8
-//! [`QuantizedTable`] of the item block (rebuilt on every reload) and the
+//! [`QuantizedTable`] of the live rows (rebuilt on every reload) and the
 //! read paths switch to a two-stage rank-then-rescore: the quantized scan
-//! ranks the full catalog cheaply, the exact f32 kernel re-scores only the
-//! top `4·K` candidates. The measured recall of that path against the exact
-//! scan ([`EngineState::quant_recall`]) is computed once per load and
-//! exported as the `serve.quant.recall_ppm` gauge.
+//! ranks the live catalog cheaply, the exact f32 kernel re-scores only the
+//! top `4·K` candidates, and the zero class is merged after the rescore.
+//! The IVF index is likewise built over the live rows. The measured recall
+//! of the quantized path against the exact scan
+//! ([`EngineState::quant_recall`]) is computed once per load and exported
+//! as the `serve.quant.recall_ppm` gauge.
 
 use crate::ann::{IvfConfig, IvfIndex};
 use crate::delta::StreamDelta;
 use lrgcn_data::Dataset;
 use lrgcn_models::foldin::FoldInBasis;
 use lrgcn_stream::{EventLog, StreamEvent};
-use lrgcn_eval::{overlap_fraction, rank_order, top_k_indices_into, top_k_with_scores};
+use lrgcn_eval::{overlap_fraction, rank_order, top_k_indices_into};
 use lrgcn_graph::EdgePruner;
 use lrgcn_models::checkpoint::{model_tag, require_entry, SERVABLE_TAGS};
 use lrgcn_models::common::score_from_final;
@@ -98,6 +122,8 @@ impl Default for EngineOptions {
 /// First-stage candidate multiplier: the quantized scan keeps `4·K`
 /// candidates for the exact rescore.
 const CANDIDATE_FACTOR: usize = 4;
+/// [`EngineState::live_pos`] entry of an all-zero item row.
+const ZERO_ROW: u32 = u32::MAX;
 /// How many users the build-time recall guardrail samples.
 const RECALL_SAMPLE_USERS: usize = 64;
 /// The K the guardrail compares at (the paper's headline Recall@20 cut).
@@ -114,8 +140,10 @@ pub struct Scratch {
     qbuf: Vec<i8>,
     /// Probed IVF cell ids (ANN path only).
     cells: Vec<u32>,
-    /// ANN candidate item ids gathered from the probed cells.
+    /// ANN candidates (live positions) gathered from the probed cells.
     cand: Vec<u32>,
+    /// The streaming path's seen mask: training plus folded-in items.
+    seen: Vec<u32>,
 }
 
 /// A per-request read-path override. The default (`ReadOverride::default()`)
@@ -170,14 +198,25 @@ pub struct EngineState {
     /// Folded-in events on top of this state (always the empty delta at
     /// version 0 without streaming).
     delta: RwLock<Arc<StreamDelta>>,
-    /// Final node embeddings, users first: `(n_users + n_items) × dim`.
+    /// Final node embeddings with the item block reduced to its live rows:
+    /// the user rows, then the live item rows in ascending id order —
+    /// `(n_users + live_items) × dim`. The zero rows are not stored.
     final_emb: Matrix,
-    /// Per-item L2 norms of the item block (cosine for /similar).
-    item_norms: Vec<f32>,
-    /// Int8 table of the item block when the quantized read path is on.
+    /// Item id of each live position, ascending.
+    live_ids: Vec<u32>,
+    /// Live position of each item id; [`ZERO_ROW`] for an all-zero row.
+    live_pos: Vec<u32>,
+    /// Ids of the all-zero item rows, ascending.
+    zero_ids: Vec<u32>,
+    /// The one all-zero row every zero id reads as its embedding.
+    zero_row: Vec<f32>,
+    /// L2 norms of the live rows, by live position (cosine for /similar).
+    live_norms: Vec<f32>,
+    /// Int8 table of the live rows when the quantized read path is on.
     quant: Option<QuantizedTable>,
-    /// IVF index over the item block when the ANN read path is on *or*
-    /// built on standby for brownout fallback.
+    /// IVF index over the live rows when the ANN read path is on *or*
+    /// built on standby for brownout fallback. Its members are live
+    /// positions.
     ann: Option<IvfIndex>,
     /// Whether requests without a [`ReadOverride`] serve through the index
     /// (`false` for a standby-only index).
@@ -205,7 +244,10 @@ impl EngineState {
     ) -> Self {
         let (n_users, n_items) = (ds.n_users(), ds.n_items());
         let dim = final_emb.cols();
-        let item_norms = (n_users..n_users + n_items)
+        let (final_emb, live_ids, live_pos, zero_ids) =
+            compact_live_items(final_emb, n_users, n_items);
+        let n_live = live_ids.len();
+        let live_norms = (n_users..n_users + n_live)
             .map(|r| {
                 let row = final_emb.row(r);
                 dot(row, row).sqrt()
@@ -213,15 +255,21 @@ impl EngineState {
             .collect();
         let quant = opts
             .quant
-            .then(|| QuantizedTable::from_matrix_rows(&final_emb, n_users, n_users + n_items));
+            .then(|| QuantizedTable::from_matrix_rows(&final_emb, n_users, n_users + n_live));
         let ann = (opts.ann || opts.ann_standby).then(|| {
             let cfg = IvfConfig {
                 n_cells: opts.ann_cells,
                 nprobe: opts.nprobe,
                 seed: opts.seed,
             };
-            let item_block = &final_emb.data()[n_users * dim..];
-            IvfIndex::build(item_block, n_items, dim, &cfg)
+            // The cell count is sized from the whole catalogue, as
+            // configured; the build clamps it to the live rows it indexes.
+            let cfg = IvfConfig {
+                n_cells: cfg.resolved_cells(n_items),
+                ..cfg
+            };
+            let live_block = &final_emb.data()[n_users * dim..];
+            IvfIndex::build(live_block, n_live, dim, &cfg)
         });
         Self {
             model_name,
@@ -236,7 +284,11 @@ impl EngineState {
             foldin,
             delta: RwLock::new(Arc::new(StreamDelta::default())),
             final_emb,
-            item_norms,
+            live_ids,
+            live_pos,
+            zero_ids,
+            zero_row: vec![0.0; dim],
+            live_norms,
             quant,
             ann,
             ann_default: opts.ann,
@@ -354,19 +406,62 @@ impl EngineState {
         self.ann.as_ref().map_or(0, |a| a.nprobe())
     }
 
-    /// The contiguous item block of the final embedding table.
-    fn item_block(&self) -> &[f32] {
+    /// How many item rows are live (not all-zero); for /healthz.
+    pub(crate) fn live_items(&self) -> usize {
+        self.live_ids.len()
+    }
+
+    /// The contiguous live block of the item table.
+    fn live_block(&self) -> &[f32] {
         &self.final_emb.data()[self.n_users * self.dim..]
     }
 
-    fn item_row(&self, item: usize) -> &[f32] {
-        self.final_emb.row(self.n_users + item)
+    fn live_row(&self, pos: usize) -> &[f32] {
+        self.final_emb.row(self.n_users + pos)
     }
 
-    /// The raw score matrix for a chunk of users — the exact evaluator
-    /// scoring path (`score_from_final`: gather user rows, `U · Iᵀ`).
+    /// The live position of `item`; `None` for a zero row or an id past
+    /// the trained catalogue (a mask may carry folded-in ids).
+    fn live_position(&self, item: u32) -> Option<usize> {
+        match self.live_pos.get(item as usize) {
+            Some(&p) if p != ZERO_ROW => Some(p as usize),
+            _ => None,
+        }
+    }
+
+    fn item_row(&self, item: usize) -> &[f32] {
+        match self.live_pos[item] {
+            ZERO_ROW => &self.zero_row,
+            p => self.live_row(p as usize),
+        }
+    }
+
+    fn item_norm(&self, item: u32) -> f32 {
+        self.live_position(item).map_or(0.0, |p| self.live_norms[p])
+    }
+
+    /// The raw score matrix for a chunk of users, bitwise what the exact
+    /// evaluator (`score_from_final`) gives over the full item table: the
+    /// live columns come from the same kernel, and a zero column is the
+    /// kernel's `+0.0` — or `dot(row, 0)` for a user row with a non-finite
+    /// component.
     pub fn score_users(&self, users: &[u32]) -> Matrix {
-        score_from_final(&self.final_emb, self.n_users, users)
+        let live = score_from_final(&self.final_emb, self.n_users, users);
+        let mut out = Matrix::zeros(users.len(), self.n_items);
+        for (r, &u) in users.iter().enumerate() {
+            let orow = out.row_mut(r);
+            for (&id, &s) in self.live_ids.iter().zip(live.row(r)) {
+                orow[id as usize] = s;
+            }
+            let urow = self.final_emb.row(u as usize);
+            if !urow.iter().all(|x| x.is_finite()) {
+                let zero = dot(urow, &self.zero_row);
+                for &id in &self.zero_ids {
+                    orow[id as usize] = zero;
+                }
+            }
+        }
+        out
     }
 
     /// Top-K recommendations for one user, optionally masking the items the
@@ -477,7 +572,8 @@ impl EngineState {
             }
         };
         let folded = delta.user_items(user);
-        let mut merged: Vec<u32> = Vec::new();
+        let mut merged = std::mem::take(&mut scratch.seen);
+        merged.clear();
         let seen: &[u32] = if !exclude_seen {
             &[]
         } else {
@@ -485,7 +581,6 @@ impl EngineState {
             if folded.is_empty() {
                 train
             } else {
-                merged.reserve(train.len() + folded.len());
                 merged.extend_from_slice(train);
                 merged.extend_from_slice(folded);
                 merged.sort_unstable();
@@ -506,20 +601,73 @@ impl EngineState {
             out.sort_by(rank_order);
             out.truncate(k);
         }
+        scratch.seen = merged;
         Ok(out)
     }
 
-    /// Exact f32 scores of a readout row against the whole catalog, written
-    /// into `out`. Routes the row against the contiguous item block through
-    /// the same `matmul_nt` kernel as [`score_from_final`], so the scores —
-    /// and therefore the served ranking — stay byte-identical to the
-    /// offline evaluator's.
-    fn exact_scores_into(&self, row: &[f32], out: &mut Vec<f32>) {
+    /// Exact f32 scores of a readout row against the live rows, one per
+    /// live position, written into `out`. The same `matmul_nt` kernel as
+    /// [`score_from_final`], so every live score is bitwise the offline
+    /// evaluator's.
+    fn live_scores_into(&self, row: &[f32], out: &mut Vec<f32>) {
         out.clear();
-        out.resize(self.n_items, 0.0);
+        out.resize(self.live_items(), 0.0);
         let kern = kernels::active_kernel();
         kernels::count_dispatch(kern);
-        kernels::matmul_nt_block(kern, row, self.dim, self.item_block(), self.n_items, out);
+        kernels::matmul_nt_block(
+            kern,
+            row,
+            self.dim,
+            self.live_block(),
+            self.live_items(),
+            out,
+        );
+    }
+
+    /// Sets the live positions of the `seen` ids to `-inf`.
+    fn mask_live(&self, seen: &[u32], scores: &mut [f32]) {
+        for &it in seen {
+            if let Some(p) = self.live_position(it) {
+                scores[p] = f32::NEG_INFINITY;
+            }
+        }
+    }
+
+    /// The top `k` live positions of `scores` (through `idx`) as
+    /// `(id, score)`, best first, masked entries dropped.
+    fn select_live(&self, scores: &[f32], k: usize, idx: &mut Vec<u32>) -> Vec<(u32, f32)> {
+        top_k_indices_into(scores, k, idx);
+        idx.iter()
+            .map(|&p| (self.live_ids[p as usize], scores[p as usize]))
+            .filter(|&(_, s)| s != f32::NEG_INFINITY)
+            .collect()
+    }
+
+    /// Merges the zero class into `out`, a live ranking in [`rank_order`]
+    /// at most `k` long. Every zero row scores `+0.0`, so the class can
+    /// only place when fewer than `k` live candidates survive or the k-th
+    /// live score is `<= 0`, and then only through its `k` lowest ids
+    /// outside `excluded` (sorted ascending; walked as a merge).
+    fn merge_zero_class(&self, out: &mut Vec<(u32, f32)>, k: usize, excluded: &[u32]) {
+        let open = out.len() < k || out.last().is_some_and(|&(_, s)| s <= 0.0);
+        if !open {
+            return;
+        }
+        let before = out.len();
+        let mut excluded = excluded.iter().peekable();
+        for &z in &self.zero_ids {
+            if out.len() - before == k {
+                break;
+            }
+            while excluded.next_if(|&&e| e < z).is_some() {}
+            if excluded.peek() != Some(&&z) {
+                out.push((z, 0.0));
+            }
+        }
+        if out.len() > before {
+            out.sort_by(rank_order);
+            out.truncate(k);
+        }
     }
 
     fn top_k_exact(
@@ -529,25 +677,57 @@ impl EngineState {
         k: usize,
         scratch: &mut Scratch,
     ) -> Vec<(u32, f32)> {
-        self.exact_scores_into(row, &mut scratch.scores);
+        if !row.iter().all(|x| x.is_finite()) {
+            return self.top_k_exact_full_width(row, seen, k, scratch);
+        }
+        self.live_scores_into(row, &mut scratch.scores);
+        self.mask_live(seen, &mut scratch.scores);
+        let mut out = self.select_live(&scratch.scores, k, &mut scratch.idx);
+        self.merge_zero_class(&mut out, k, seen);
+        out
+    }
+
+    /// [`EngineState::top_k_exact`] for a query row with a non-finite
+    /// component, whose zero-row score `dot(row, 0)` may be NaN: every id
+    /// is scored into one full-width vector and selected in one pass, so a
+    /// NaN panics exactly where a full scan's would.
+    fn top_k_exact_full_width(
+        &self,
+        row: &[f32],
+        seen: &[u32],
+        k: usize,
+        scratch: &mut Scratch,
+    ) -> Vec<(u32, f32)> {
+        let scores = &mut scratch.scores;
+        self.live_scores_into(row, scores);
+        scores.resize(self.n_items, 0.0);
+        // Scatter in place, last position first: `live_ids[p] >= p`, so no
+        // position is overwritten before it is read.
+        for p in (0..self.live_items()).rev() {
+            scores[self.live_ids[p] as usize] = scores[p];
+        }
+        let zero = dot(row, &self.zero_row);
+        for &z in &self.zero_ids {
+            scores[z as usize] = zero;
+        }
         for &it in seen {
-            // The mask may carry folded-in ids past the trained catalog.
             if (it as usize) < self.n_items {
-                scratch.scores[it as usize] = f32::NEG_INFINITY;
+                scores[it as usize] = f32::NEG_INFINITY;
             }
         }
-        top_k_indices_into(&scratch.scores, k, &mut scratch.idx);
+        top_k_indices_into(scores, k, &mut scratch.idx);
         scratch
             .idx
             .iter()
-            .map(|&i| (i, scratch.scores[i as usize]))
+            .map(|&i| (i, scores[i as usize]))
             .filter(|&(_, s)| s != f32::NEG_INFINITY)
             .collect()
     }
 
-    /// The two-stage quantized path: int8 full-catalog scan, keep the
+    /// The two-stage quantized path: int8 scan of the live rows, keep the
     /// approximate top `CANDIDATE_FACTOR·k`, re-score those candidates with
-    /// the exact f32 dot, re-rank with the evaluator's tie-break.
+    /// the exact f32 dot, re-rank with the evaluator's tie-break, then merge
+    /// the zero class.
     fn top_k_quant(
         &self,
         row: &[f32],
@@ -558,14 +738,10 @@ impl EngineState {
         let qt = self.quant.as_ref().expect("quant table");
         let q_scale = QuantizedTable::quantize_query(row, &mut scratch.qbuf);
         scratch.scores.clear();
-        scratch.scores.resize(self.n_items, 0.0);
+        scratch.scores.resize(self.live_items(), 0.0);
         qt.scores_into(&scratch.qbuf, q_scale, &mut scratch.scores);
         registry::add(Counter::QuantScans, 1);
-        for &it in seen {
-            if (it as usize) < self.n_items {
-                scratch.scores[it as usize] = f32::NEG_INFINITY;
-            }
-        }
+        self.mask_live(seen, &mut scratch.scores);
         top_k_indices_into(
             &scratch.scores,
             k.saturating_mul(CANDIDATE_FACTOR),
@@ -574,12 +750,18 @@ impl EngineState {
         let mut out: Vec<(u32, f32)> = scratch
             .idx
             .iter()
-            .filter(|&&i| scratch.scores[i as usize] != f32::NEG_INFINITY)
-            .map(|&i| (i, dot(row, self.item_row(i as usize))))
+            .filter(|&&p| scratch.scores[p as usize] != f32::NEG_INFINITY)
+            .map(|&p| {
+                (
+                    self.live_ids[p as usize],
+                    dot(row, self.live_row(p as usize)),
+                )
+            })
             .collect();
         registry::add(Counter::QuantRescored, out.len() as u64);
         out.sort_by(rank_order);
         out.truncate(k);
+        self.merge_zero_class(&mut out, k, seen);
         out
     }
 
@@ -589,8 +771,9 @@ impl EngineState {
     /// f32 rescore (the PR 6 rank-then-rescore pipeline, restricted to the
     /// probed candidates); without quant every candidate is scored with the
     /// exact f32 dot directly. Either way the final scores are the exact
-    /// dots, bitwise-equal to the full-scan path's, and the candidate set
-    /// is a deterministic function of (embeddings, config) — see `ann.rs`.
+    /// dots, bitwise-equal to the full-scan path's, the zero class is
+    /// merged last, and the candidate set is a deterministic function of
+    /// (embeddings, config) — see `ann.rs`.
     fn top_k_ann(
         &self,
         row: &[f32],
@@ -604,34 +787,38 @@ impl EngineState {
         let probed = ann.candidates_into_n(row, nprobe, &mut scratch.cells, &mut scratch.cand);
         registry::add(Counter::AnnCellsProbed, probed as u64);
         registry::add(Counter::AnnCandidates, scratch.cand.len() as u64);
-        let keep = |it: u32| seen.binary_search(&it).is_err();
+        let keep = |p: u32| seen.binary_search(&self.live_ids[p as usize]).is_err();
+        let exact = |p: u32| {
+            (
+                self.live_ids[p as usize],
+                dot(row, self.live_row(p as usize)),
+            )
+        };
         let mut out: Vec<(u32, f32)> = if let Some(qt) = &self.quant {
             let q_scale = QuantizedTable::quantize_query(row, &mut scratch.qbuf);
             registry::add(Counter::QuantScans, 1);
             let mut approx: Vec<(u32, f32)> = scratch
                 .cand
                 .iter()
-                .filter(|&&it| keep(it))
-                .map(|&it| (it, qt.score_row(it as usize, &scratch.qbuf, q_scale)))
+                .filter(|&&p| keep(p))
+                .map(|&p| (p, qt.score_row(p as usize, &scratch.qbuf, q_scale)))
                 .collect();
             approx.sort_by(rank_order);
             approx.truncate(k.saturating_mul(CANDIDATE_FACTOR));
-            let rescored: Vec<(u32, f32)> = approx
-                .iter()
-                .map(|&(it, _)| (it, dot(row, self.item_row(it as usize))))
-                .collect();
+            let rescored: Vec<(u32, f32)> = approx.iter().map(|&(p, _)| exact(p)).collect();
             registry::add(Counter::QuantRescored, rescored.len() as u64);
             rescored
         } else {
             scratch
                 .cand
                 .iter()
-                .filter(|&&it| keep(it))
-                .map(|&it| (it, dot(row, self.item_row(it as usize))))
+                .filter(|&&p| keep(p))
+                .map(|&p| exact(p))
                 .collect()
         };
         out.sort_by(rank_order);
         out.truncate(k);
+        self.merge_zero_class(&mut out, k, seen);
         out
     }
 
@@ -668,19 +855,28 @@ impl EngineState {
         if self.ann.is_some() && (self.ann_default || ovr.force_ann) {
             return Ok(self.similar_ann(item, k, scratch, ovr.nprobe));
         }
+        // A zero row's cosine is 0 from either side, exactly the zero
+        // class's `+0.0`, so only the live rows are scored.
         let q = self.item_row(item as usize);
-        let qn = self.item_norms[item as usize];
+        let qn = self.item_norm(item);
+        let cosine = |p: usize, s: f32| {
+            let n = qn * self.live_norms[p];
+            if n > 0.0 {
+                s / n
+            } else {
+                0.0
+            }
+        };
         scratch.scores.clear();
-        scratch.scores.resize(self.n_items, 0.0);
-        if let Some(qt) = &self.quant {
+        scratch.scores.resize(self.live_items(), 0.0);
+        let mut out = if let Some(qt) = &self.quant {
             let q_scale = QuantizedTable::quantize_query(q, &mut scratch.qbuf);
             qt.scores_into(&scratch.qbuf, q_scale, &mut scratch.scores);
             registry::add(Counter::QuantScans, 1);
-            for (i, s) in scratch.scores.iter_mut().enumerate() {
-                let n = qn * self.item_norms[i];
-                *s = if n > 0.0 { *s / n } else { 0.0 };
+            for (p, s) in scratch.scores.iter_mut().enumerate() {
+                *s = cosine(p, *s);
             }
-            scratch.scores[item as usize] = f32::NEG_INFINITY;
+            self.mask_live(&[item], &mut scratch.scores);
             top_k_indices_into(
                 &scratch.scores,
                 k.saturating_mul(CANDIDATE_FACTOR),
@@ -689,37 +885,35 @@ impl EngineState {
             let mut out: Vec<(u32, f32)> = scratch
                 .idx
                 .iter()
-                .filter(|&&i| scratch.scores[i as usize] != f32::NEG_INFINITY)
-                .map(|&i| {
-                    let n = qn * self.item_norms[i as usize];
-                    let c = if n > 0.0 {
-                        dot(q, self.item_row(i as usize)) / n
-                    } else {
-                        0.0
-                    };
-                    (i, c)
+                .filter(|&&p| scratch.scores[p as usize] != f32::NEG_INFINITY)
+                .map(|&p| {
+                    let p = p as usize;
+                    (self.live_ids[p], cosine(p, dot(q, self.live_row(p))))
                 })
                 .collect();
             registry::add(Counter::QuantRescored, out.len() as u64);
             out.sort_by(rank_order);
             out.truncate(k);
-            return Ok(out);
-        }
-        for (i, s) in scratch.scores.iter_mut().enumerate() {
-            let n = qn * self.item_norms[i];
-            if n > 0.0 {
-                *s = dot(q, self.item_row(i)) / n;
+            out
+        } else {
+            for (p, s) in scratch.scores.iter_mut().enumerate() {
+                if qn * self.live_norms[p] > 0.0 {
+                    *s = cosine(p, dot(q, self.live_row(p)));
+                }
             }
-        }
-        scratch.scores[item as usize] = f32::NEG_INFINITY;
-        Ok(top_k_with_scores(&scratch.scores, k))
+            self.mask_live(&[item], &mut scratch.scores);
+            self.select_live(&scratch.scores, k, &mut scratch.idx)
+        };
+        self.merge_zero_class(&mut out, k, &[item]);
+        Ok(out)
     }
 
     /// `/similar` over the IVF index: probe with the query item's embedding
     /// and rank only the probed cells' members by exact f32 cosine (with
     /// quant on, an int8-approximated cosine pre-ranks the candidates down
-    /// to `CANDIDATE_FACTOR·k` first). The query item itself is excluded;
-    /// zero-norm embeddings score 0 rather than NaN.
+    /// to `CANDIDATE_FACTOR·k` first), then merge the zero class. The query
+    /// item itself is excluded; zero-norm embeddings score 0 rather than
+    /// NaN.
     fn similar_ann(
         &self,
         item: u32,
@@ -729,18 +923,20 @@ impl EngineState {
     ) -> Vec<(u32, f32)> {
         let ann = self.ann.as_ref().expect("ann index");
         let q = self.item_row(item as usize);
-        let qn = self.item_norms[item as usize];
+        let qn = self.item_norm(item);
         let nprobe = nprobe.unwrap_or_else(|| ann.nprobe());
         let probed = ann.candidates_into_n(q, nprobe, &mut scratch.cells, &mut scratch.cand);
         registry::add(Counter::AnnCellsProbed, probed as u64);
         registry::add(Counter::AnnCandidates, scratch.cand.len() as u64);
-        let exact_cos = |it: u32| {
-            let n = qn * self.item_norms[it as usize];
-            if n > 0.0 {
-                dot(q, self.item_row(it as usize)) / n
+        let query_pos = self.live_position(item).map(|p| p as u32);
+        let exact_cos = |p: u32| {
+            let n = qn * self.live_norms[p as usize];
+            let c = if n > 0.0 {
+                dot(q, self.live_row(p as usize)) / n
             } else {
                 0.0
-            }
+            };
+            (self.live_ids[p as usize], c)
         };
         let mut out: Vec<(u32, f32)> = if let Some(qt) = &self.quant {
             let q_scale = QuantizedTable::quantize_query(q, &mut scratch.qbuf);
@@ -748,29 +944,29 @@ impl EngineState {
             let mut approx: Vec<(u32, f32)> = scratch
                 .cand
                 .iter()
-                .filter(|&&it| it != item)
-                .map(|&it| {
-                    let n = qn * self.item_norms[it as usize];
-                    let s = qt.score_row(it as usize, &scratch.qbuf, q_scale);
-                    (it, if n > 0.0 { s / n } else { 0.0 })
+                .filter(|&&p| Some(p) != query_pos)
+                .map(|&p| {
+                    let n = qn * self.live_norms[p as usize];
+                    let s = qt.score_row(p as usize, &scratch.qbuf, q_scale);
+                    (p, if n > 0.0 { s / n } else { 0.0 })
                 })
                 .collect();
             approx.sort_by(rank_order);
             approx.truncate(k.saturating_mul(CANDIDATE_FACTOR));
-            let rescored: Vec<(u32, f32)> =
-                approx.iter().map(|&(it, _)| (it, exact_cos(it))).collect();
+            let rescored: Vec<(u32, f32)> = approx.iter().map(|&(p, _)| exact_cos(p)).collect();
             registry::add(Counter::QuantRescored, rescored.len() as u64);
             rescored
         } else {
             scratch
                 .cand
                 .iter()
-                .filter(|&&it| it != item)
-                .map(|&it| (it, exact_cos(it)))
+                .filter(|&&p| Some(p) != query_pos)
+                .map(|&p| exact_cos(p))
                 .collect()
         };
         out.sort_by(rank_order);
         out.truncate(k);
+        self.merge_zero_class(&mut out, k, &[item]);
         out
     }
 
@@ -796,20 +992,61 @@ impl EngineState {
                 .map(|&(u, i)| {
                     let q_scale =
                         QuantizedTable::quantize_query(self.final_emb.row(u as usize), &mut qbuf);
-                    qt.score_row(i as usize, &qbuf, q_scale)
+                    // A zero row quantizes to scale 0, which scores 0.
+                    self.live_position(i)
+                        .map_or(0.0, |p| qt.score_row(p, &qbuf, q_scale))
                 })
                 .collect());
         }
         Ok(pairs
             .iter()
-            .map(|&(u, i)| {
-                dot(
-                    self.final_emb.row(u as usize),
-                    self.final_emb.row(self.n_users + i as usize),
-                )
-            })
+            .map(|&(u, i)| dot(self.final_emb.row(u as usize), self.item_row(i as usize)))
             .collect())
     }
+}
+
+/// Splits the item block of `final_emb` (rows `n_users..n_users + n_items`)
+/// by content, in place: the live rows — any component other than `±0.0`;
+/// a NaN counts as live — move up behind the user rows in ascending id
+/// order, and the rest are dropped. Returns the compacted matrix, the live
+/// ids, the id → live position map and the zero ids.
+fn compact_live_items(
+    final_emb: Matrix,
+    n_users: usize,
+    n_items: usize,
+) -> (Matrix, Vec<u32>, Vec<u32>, Vec<u32>) {
+    let dim = final_emb.cols();
+    let mut data = final_emb.into_vec();
+    let is_live = |data: &[f32], item: usize| {
+        let src = (n_users + item) * dim;
+        data[src..src + dim].iter().any(|&x| x != 0.0)
+    };
+    // Counted first so every list is allocated once at its final size:
+    // growth reallocations here fragment the heap that later training
+    // matrices reuse, which shows in the process's peak RSS.
+    let n_live = (0..n_items).filter(|&i| is_live(&data, i)).count();
+    let mut live_ids = Vec::with_capacity(n_live);
+    let mut zero_ids = Vec::with_capacity(n_items - n_live);
+    let mut live_pos = vec![ZERO_ROW; n_items];
+    for (item, pos) in live_pos.iter_mut().enumerate() {
+        if is_live(&data, item) {
+            let src = (n_users + item) * dim;
+            data.copy_within(src..src + dim, (n_users + live_ids.len()) * dim);
+            *pos = live_ids.len() as u32;
+            live_ids.push(item as u32);
+        } else {
+            zero_ids.push(item as u32);
+        }
+    }
+    let rows = n_users + n_live;
+    data.truncate(rows * dim);
+    data.shrink_to_fit();
+    (
+        Matrix::from_vec(rows, dim, data),
+        live_ids,
+        live_pos,
+        zero_ids,
+    )
 }
 
 /// Mean overlap of an approximate top-`RECALL_K` path with the exact
@@ -1097,6 +1334,9 @@ impl Engine {
 }
 
 #[cfg(test)]
+mod zero_class;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use lrgcn_models::checkpoint::save_model;
@@ -1119,7 +1359,7 @@ mod tests {
         ))
     }
 
-    fn save_lightgcn(ds: &Dataset, path: &Path) {
+    pub(super) fn save_lightgcn(ds: &Dataset, path: &Path) {
         let mut rng = StdRng::seed_from_u64(7);
         let mut m = LightGcn::new(
             ds,
@@ -1568,7 +1808,7 @@ mod tests {
         std::fs::remove_file(ckpt).ok();
     }
 
-    fn save_layergcn(ds: &Dataset, path: &Path) {
+    pub(super) fn save_layergcn(ds: &Dataset, path: &Path) {
         let mut rng = StdRng::seed_from_u64(7);
         let mut m = LayerGcn::new(
             ds,
@@ -1649,7 +1889,7 @@ mod tests {
         std::fs::remove_file(ckpt).ok();
     }
 
-    fn ev(user: u32, item: u32, seq: u64) -> StreamEvent {
+    pub(super) fn ev(user: u32, item: u32, seq: u64) -> StreamEvent {
         StreamEvent {
             user,
             item,

@@ -1218,6 +1218,7 @@ fn healthz(ctx: &Ctx) -> Reply {
         ("generation", Value::u64(st.generation)),
         ("n_users", Value::u64(st.n_users as u64)),
         ("n_items", Value::u64(st.n_items as u64)),
+        ("live_items", Value::u64(st.live_items() as u64)),
         ("dim", Value::u64(st.dim as u64)),
         ("n_parameters", Value::u64(st.n_parameters as u64)),
         ("quant", Value::Bool(st.quant_enabled())),

@@ -178,6 +178,19 @@ fn health_metrics_cache_errors_and_scoring() {
         v.get("n_users").and_then(Value::as_f64),
         Some(ds.n_users() as f64)
     );
+    // LayerGCN's readout drops the ego layer: exactly the items with a
+    // training edge have a live (not all-zero) row.
+    let with_edges = (0..ds.n_items() as u32)
+        .filter(|&i| (0..ds.n_users() as u32).any(|u| ds.is_train_interaction(u, i)))
+        .count();
+    assert!(
+        with_edges < ds.n_items(),
+        "the fixture should have cold items"
+    );
+    assert_eq!(
+        v.get("live_items").and_then(Value::as_f64),
+        Some(with_edges as f64)
+    );
 
     // Cache: second identical request is a hit.
     let (_, first) = get_json(addr, "/recs/3?k=5");

@@ -24,11 +24,14 @@
 #      loadable by `lrgcn evaluate --load`, plus a kill-mid-save + resume
 #      round-trip
 #   8. kernel sweep: the golden-trajectory suite, the tensor crate's
-#      kernel_equality suite and the eval crate's tests (top-K select,
-#      parallel evaluation) re-run under every
-#      LRGCN_KERNEL={naive,blocked,simd} × LRGCN_THREADS={1,8} pair — the
-#      cache-blocked and AVX2 kernels are contractually bitwise identical
-#      to the naive reference, so any trajectory drift fails the stage
+#      kernel_equality suite, the eval crate's tests (top-K select,
+#      parallel evaluation) and the serving engine's zero-class tests
+#      (live-row scan vs a full scan, ids and score bits) re-run under
+#      every LRGCN_KERNEL={naive,blocked,simd} × LRGCN_THREADS={1,8} pair —
+#      the cache-blocked and AVX2 kernels are contractually bitwise
+#      identical to the naive reference, so any trajectory drift fails the
+#      stage, and the engine serves all-zero item rows as one `+0.0` class,
+#      which holds only while every mode starts its chains at `+0.0`
 #   9. ANN smoke: train on the yelp-like preset, serve the same checkpoint
 #      behind `--exact` and `--ann`, query both over /dev/tcp and fail if
 #      the IVF read path's recall@20 against the exact scan drops below
@@ -234,11 +237,12 @@ fi
     || { echo "verify: resume after mid-save kill failed"; exit 1; }
 echo "fault-injection smoke: OK"
 
-echo "==> kernel sweep: golden trajectory, kernel equality, eval under every kernel x thread pair"
+echo "==> kernel sweep: golden trajectory, kernel equality, eval, engine zero class under every kernel x thread pair"
 for kernel in naive blocked simd; do
     for threads in 1 8; do
         for suite in "-p lrgcn-train --test golden_trajectory" \
-            "-p lrgcn-tensor --test kernel_equality" "-p lrgcn-eval"; do
+            "-p lrgcn-tensor --test kernel_equality" "-p lrgcn-eval" \
+            "-p lrgcn-serve --lib engine::zero_class"; do
             # shellcheck disable=SC2086  # $suite is a list of cargo arguments
             out=$(LRGCN_KERNEL=$kernel LRGCN_THREADS=$threads cargo test -q $suite 2>&1) || {
                 echo "$out"
