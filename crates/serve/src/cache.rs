@@ -12,26 +12,24 @@
 //! entries per shard) is cheaper and simpler than an intrusive list — and
 //! never wrong about which entry is coldest.
 
+use crate::engine::ReadPlan;
 use lrgcn_obs::{registry, Counter};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// What makes a cached response reusable: same engine generation, user,
-/// cutoff, masking mode — and the same *read-path configuration*. The
-/// generation alone is not enough: two engines serving the same checkpoint
-/// with different index settings (exact vs quant vs ann, or a different
-/// probe width) produce different top-K lists at the same generation, so
-/// the quant flag and effective nprobe (0 = ANN off) are part of the key.
+/// cutoff, masking mode — and the same [`ReadPlan`]. The generation alone
+/// is not enough: the same checkpoint served with a different plan (exact
+/// vs int8 vs IVF, or a different probe width — the brownout controller
+/// narrows it) gives different top-K lists at the same generation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Key {
     pub generation: u64,
     pub user: u32,
     pub k: usize,
     pub exclude_seen: bool,
-    /// Whether the int8 quantized read path produced the entry.
-    pub quant: bool,
-    /// Effective IVF probe width that produced the entry; `0` = ANN off.
-    pub nprobe: u32,
+    /// The read plan that produced the entry.
+    pub plan: ReadPlan,
     /// Streaming fold-in delta version the entry was computed against
     /// (`StreamDelta::version`); `0` = nothing folded in. Each `/events`
     /// fold-in bumps it, invalidating cached answers the same way a
@@ -91,7 +89,7 @@ impl TopKCache {
     }
 
     /// Brownout-only lookup: any entry for the same `(user, k,
-    /// exclude_seen, quant, nprobe)` regardless of generation or delta
+    /// exclude_seen, plan)` regardless of generation or delta
     /// version, preferring the entry closest to the requested generation
     /// (newest first). Under deep brownout (DESIGN.md §14, level 3) a
     /// slightly stale ranking beats a shed request; the handler marks the
@@ -109,8 +107,7 @@ impl TopKCache {
                 k.user == key.user
                     && k.k == key.k
                     && k.exclude_seen == key.exclude_seen
-                    && k.quant == key.quant
-                    && k.nprobe == key.nprobe
+                    && k.plan == key.plan
             })
             .max_by_key(|(k, _)| (k.generation, k.delta))
             .map(|(k, _)| *k)?;
@@ -158,14 +155,15 @@ impl TopKCache {
 mod tests {
     use super::*;
 
+    const INT8: ReadPlan = ReadPlan { nprobe: 0, int8: true };
+
     fn key(user: u32, generation: u64) -> Key {
         Key {
             generation,
             user,
             k: 10,
             exclude_seen: true,
-            quant: false,
-            nprobe: 0,
+            plan: ReadPlan::default(),
             delta: 0,
         }
     }
@@ -179,8 +177,9 @@ mod tests {
         // A different generation is a different key: reload invalidates.
         assert!(c.get(&key(1, 1)).is_none());
         // So is a different read-path configuration at the same generation.
-        assert!(c.get(&Key { quant: true, ..key(1, 0) }).is_none());
-        assert!(c.get(&Key { nprobe: 8, ..key(1, 0) }).is_none());
+        assert!(c.get(&Key { plan: INT8, ..key(1, 0) }).is_none());
+        let probe8 = ReadPlan { nprobe: 8, int8: false };
+        assert!(c.get(&Key { plan: probe8, ..key(1, 0) }).is_none());
         // And so is a newer streaming fold-in delta version.
         assert!(c.get(&Key { delta: 1, ..key(1, 0) }).is_none());
     }
@@ -201,7 +200,7 @@ mod tests {
         assert!(c
             .get_stale(&Key { exclude_seen: false, ..key(1, 9) })
             .is_none());
-        assert!(c.get_stale(&Key { quant: true, ..key(1, 9) }).is_none());
+        assert!(c.get_stale(&Key { plan: INT8, ..key(1, 9) }).is_none());
         assert!(c.get_stale(&key(2, 9)).is_none(), "other user");
     }
 

@@ -39,15 +39,24 @@
 //! (where `dot(row, 0)` may be NaN) takes a full-width fallback that scores
 //! and selects every id in one vector, NaN panic included.
 //!
-//! With [`EngineOptions::quant`] the state additionally carries an int8
-//! [`QuantizedTable`] of the live rows (rebuilt on every reload) and the
-//! read paths switch to a two-stage rank-then-rescore: the quantized scan
-//! ranks the live catalog cheaply, the exact f32 kernel re-scores only the
-//! top `4·K` candidates, and the zero class is merged after the rescore.
-//! The IVF index is likewise built over the live rows. The measured recall
-//! of the quantized path against the exact scan
-//! ([`EngineState::quant_recall`]) is computed once per load and exported
-//! as the `serve.quant.recall_ppm` gauge.
+//! ## One read pipeline
+//!
+//! Every `/recs` and `/similar` answer comes out of one private pipeline,
+//! `EngineState::rank`, whose only input besides the query is a
+//! [`ReadPlan`]: how many IVF cells to probe (`0` = every live row) and
+//! whether an int8 pre-rank comes first. Its stages — candidates, score,
+//! cosine, mask, select, rescore, zero class — are listed on `rank`. With
+//! [`EngineOptions::quant`] the state carries an int8 [`QuantizedTable`]
+//! of the live rows (rebuilt on every reload); the int8 stage ranks the
+//! candidates cheaply and the exact f32 dot re-scores only the top `4·K`.
+//! The IVF index (`EngineOptions::ann`, or `ann_standby` for the brownout
+//! controller) is built over the live rows too. [`EngineState::plan`] is
+//! the configured plan; the server serves a cheaper one under brownout,
+//! and the same value keys the response cache. The measured recall of
+//! each approximate plan against the exact scan
+//! ([`EngineState::quant_recall`], [`EngineState::ann_recall`]) is
+//! computed once per load and exported as the `serve.quant.recall_ppm` /
+//! `serve.ann.recall_ppm` gauges.
 
 use crate::ann::{IvfConfig, IvfIndex};
 use crate::delta::StreamDelta;
@@ -61,6 +70,7 @@ use lrgcn_models::common::score_from_final;
 use lrgcn_models::{
     LayerGcn, LayerGcnConfig, LightGcn, LightGcnConfig, LrGccf, LrGccfConfig, Recommender,
 };
+use lrgcn_obs::window::ReadPath;
 use lrgcn_obs::{registry, Counter, Gauge};
 use lrgcn_tensor::matrix::dot;
 use lrgcn_tensor::{kernels, Matrix, QuantizedTable};
@@ -91,7 +101,9 @@ pub struct EngineOptions {
     /// ready-made cheap read path to step down to under overload; a standby
     /// index makes exact-serving deployments degradable without a reload.
     pub ann_standby: bool,
-    /// How many IVF cells a query probes (only meaningful with `ann`).
+    /// How many IVF cells a query probes: every request under `ann`, and
+    /// the brownout controller's level-1 plan on a standby index (level 2
+    /// halves it). Unused when no index is built.
     pub nprobe: usize,
     /// IVF cell count; `0` auto-sizes to `≈ √n_items`.
     pub ann_cells: usize,
@@ -146,22 +158,43 @@ pub struct Scratch {
     seen: Vec<u32>,
 }
 
-/// A per-request read-path override. The default (`ReadOverride::default()`)
-/// changes nothing; the brownout controller (DESIGN.md §14) sets `force_ann`
-/// to step an exact/quant deployment down to its standby IVF index under
-/// overload, and `nprobe` to narrow the probe width below the engine's
-/// configured value. The override only ever *cheapens* the read path — it
-/// cannot widen a probe past the built index or enable a path that was not
-/// built.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReadOverride {
-    /// Serve through the IVF index even when the engine default is the
-    /// exact or quantized scan. No-op when no index was built
-    /// (`EngineOptions::ann` and `ann_standby` both false).
-    pub force_ann: bool,
-    /// Explicit probe width for the ANN path, clamped to `1..=n_cells`;
-    /// `None` uses the index's configured `nprobe`.
-    pub nprobe: Option<usize>,
+/// How one `/recs` or `/similar` read is served: which candidates the
+/// pipeline scores and whether an int8 pre-rank comes first. The engine's
+/// configured plan is [`EngineState::plan`]; the brownout controller
+/// (DESIGN.md §14) serves a cheaper one under overload. The same value is
+/// the response-cache key component and names the [`ReadPath`] a request
+/// is counted under. A plan asking for an index or a table the state did
+/// not build reads as if that field were off.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct ReadPlan {
+    /// IVF cells to probe (clamped to the index's cell count); `0` scans
+    /// every live row.
+    pub nprobe: usize,
+    /// Pre-rank with the int8 table and rescore the top
+    /// `CANDIDATE_FACTOR·k` with the exact f32 dot.
+    pub int8: bool,
+}
+
+impl ReadPlan {
+    /// The label the request windows count this plan under.
+    pub fn path(self) -> ReadPath {
+        if self.nprobe > 0 {
+            ReadPath::Ann
+        } else if self.int8 {
+            ReadPath::Quant
+        } else {
+            ReadPath::Exact
+        }
+    }
+}
+
+/// What [`EngineState::rank`] scores: the raw dot (`/recs`) or the cosine
+/// against a query of the given L2 norm (`/similar`), where a zero norm on
+/// either side scores `0` rather than NaN.
+#[derive(Clone, Copy)]
+enum Metric {
+    Dot,
+    Cosine(f32),
 }
 
 /// One immutable, fully-materialized serving snapshot.
@@ -218,9 +251,10 @@ pub struct EngineState {
     /// built on standby for brownout fallback. Its members are live
     /// positions.
     ann: Option<IvfIndex>,
-    /// Whether requests without a [`ReadOverride`] serve through the index
-    /// (`false` for a standby-only index).
-    ann_default: bool,
+    /// The read plan built from the options: the index's probe width when
+    /// `EngineOptions::ann` serves through it (`0` for a standby-only
+    /// index), int8 when the table exists.
+    plan: ReadPlan,
     /// Mean overlap of the quantized top-20 with the exact top-20 over a
     /// user sample, measured at build time. `1.0` when quant is off.
     pub quant_recall: f64,
@@ -289,9 +323,12 @@ impl EngineState {
             zero_ids,
             zero_row: vec![0.0; dim],
             live_norms,
+            plan: ReadPlan {
+                nprobe: ann.as_ref().filter(|_| opts.ann).map_or(0, IvfIndex::nprobe),
+                int8: quant.is_some(),
+            },
             quant,
             ann,
-            ann_default: opts.ann,
             quant_recall: 1.0,
             ann_recall: 1.0,
         }
@@ -368,7 +405,15 @@ impl EngineState {
         }
     }
 
-    /// True when this snapshot serves through the quantized read path.
+    /// The read plan requests are served with when nothing overrides it:
+    /// the configured probe width under `EngineOptions::ann`, else a full
+    /// scan, int8-pre-ranked under `EngineOptions::quant`.
+    pub fn plan(&self) -> ReadPlan {
+        self.plan
+    }
+
+    /// True when this snapshot carries the int8 table and serves through
+    /// it by default.
     pub fn quant_enabled(&self) -> bool {
         self.quant.is_some()
     }
@@ -382,11 +427,11 @@ impl EngineState {
     /// default* (a standby index does not count; see
     /// [`EngineState::ann_available`]).
     pub fn ann_enabled(&self) -> bool {
-        self.ann.is_some() && self.ann_default
+        self.plan.nprobe > 0
     }
 
     /// True when an IVF index exists at all — serving default or standby —
-    /// so a [`ReadOverride`] can route through it.
+    /// so a [`ReadPlan`] with `nprobe > 0` can route through it.
     pub fn ann_available(&self) -> bool {
         self.ann.is_some()
     }
@@ -478,9 +523,9 @@ impl EngineState {
         self.top_k_into(ds, user, k, exclude_seen, &mut Scratch::default())
     }
 
-    /// [`EngineState::top_k`] writing all `O(n_items)` intermediates into a
-    /// caller-held [`Scratch`]. Dispatches to the quantized two-stage path
-    /// when the state carries a table, else to the exact scan.
+    /// [`EngineState::top_k`] under the configured [`ReadPlan`], writing
+    /// every `O(n_items)` intermediate into a caller-held [`Scratch`].
+    /// `exclude_seen` masks `ds`'s training items.
     pub fn top_k_into(
         &self,
         ds: &Dataset,
@@ -489,56 +534,15 @@ impl EngineState {
         exclude_seen: bool,
         scratch: &mut Scratch,
     ) -> Result<Vec<(u32, f32)>, String> {
-        self.top_k_into_opts(ds, user, k, exclude_seen, scratch, ReadOverride::default())
-    }
-
-    /// [`EngineState::top_k_into`] under a [`ReadOverride`].
-    pub fn top_k_into_opts(
-        &self,
-        ds: &Dataset,
-        user: u32,
-        k: usize,
-        exclude_seen: bool,
-        scratch: &mut Scratch,
-        ovr: ReadOverride,
-    ) -> Result<Vec<(u32, f32)>, String> {
         if user as usize >= self.n_users {
             return Err(format!("user {user} out of range (0..{})", self.n_users));
         }
-        let row = self.final_emb.row(user as usize);
         let seen: &[u32] = if exclude_seen { ds.train_items(user) } else { &[] };
-        Ok(self.top_k_row(row, seen, k, scratch, ovr))
+        let row = self.final_emb.row(user as usize);
+        Ok(self.rank(row, Metric::Dot, seen, k, self.plan, scratch))
     }
 
-    /// Top-K against the trained catalog for an arbitrary readout row and a
-    /// sorted `seen` mask (empty slice = no masking). Every public top-K
-    /// entry point funnels through here, so the streaming path shares the
-    /// exact/quant/ANN dispatch — and the brownout override — with the
-    /// trained-user path.
-    fn top_k_row(
-        &self,
-        row: &[f32],
-        seen: &[u32],
-        k: usize,
-        scratch: &mut Scratch,
-        ovr: ReadOverride,
-    ) -> Vec<(u32, f32)> {
-        if self.ann.is_some() && (self.ann_default || ovr.force_ann) {
-            self.top_k_ann(row, seen, k, scratch, ovr.nprobe)
-        } else if self.quant.is_some() {
-            self.top_k_quant(row, seen, k, scratch)
-        } else {
-            self.top_k_exact(row, seen, k, scratch)
-        }
-    }
-
-    /// Top-K for a user as seen through a streaming fold-in [`StreamDelta`]
-    /// (pin one `Arc` per request via [`EngineState::delta`]): post-training
-    /// users serve from their synthesized row, trained users with folded-in
-    /// events from their updated row, and synthesized new-item rows join the
-    /// candidate pool. With `exclude_seen`, folded-in interactions are
-    /// masked alongside training ones. With an empty delta this is
-    /// byte-identical to [`EngineState::top_k`].
+    /// [`EngineState::recs`] under the configured [`ReadPlan`].
     pub fn top_k_stream(
         &self,
         delta: &StreamDelta,
@@ -547,18 +551,25 @@ impl EngineState {
         exclude_seen: bool,
         scratch: &mut Scratch,
     ) -> Result<Vec<(u32, f32)>, String> {
-        self.top_k_stream_opts(delta, user, k, exclude_seen, scratch, ReadOverride::default())
+        self.recs(delta, user, k, exclude_seen, self.plan, scratch)
     }
 
-    /// [`EngineState::top_k_stream`] under a [`ReadOverride`].
-    pub fn top_k_stream_opts(
+    /// Top-K for a user as seen through a streaming fold-in [`StreamDelta`]
+    /// (pin one `Arc` per request via [`EngineState::delta`]), served with
+    /// `plan`: post-training users serve from their synthesized row,
+    /// trained users with folded-in events from their updated row, and
+    /// synthesized new-item rows join the candidate pool. With
+    /// `exclude_seen`, folded-in interactions are masked alongside training
+    /// ones. With an empty delta this is byte-identical to
+    /// [`EngineState::top_k`] over the state's own dataset.
+    pub fn recs(
         &self,
         delta: &StreamDelta,
         user: u32,
         k: usize,
         exclude_seen: bool,
+        plan: ReadPlan,
         scratch: &mut Scratch,
-        ovr: ReadOverride,
     ) -> Result<Vec<(u32, f32)>, String> {
         let trained = (user as usize) < self.n_users;
         let row: &[f32] = match delta.user_row(user) {
@@ -588,7 +599,7 @@ impl EngineState {
                 &merged
             }
         };
-        let mut out = self.top_k_row(row, seen, k, scratch, ovr);
+        let mut out = self.rank(row, Metric::Dot, seen, k, plan, scratch);
         let mut extended = false;
         for (it, irow) in delta.item_rows() {
             if seen.binary_search(&it).is_ok() {
@@ -605,13 +616,181 @@ impl EngineState {
         Ok(out)
     }
 
+    /// Top-K most similar items by embedding cosine (the query item itself
+    /// excluded). Zero-norm embeddings score 0 rather than NaN. Allocating
+    /// wrapper around [`EngineState::similar_items_into`].
+    pub fn similar_items(&self, item: u32, k: usize) -> Result<Vec<(u32, f32)>, String> {
+        self.similar_items_into(item, k, &mut Scratch::default())
+    }
+
+    /// [`EngineState::similar`] under the configured [`ReadPlan`].
+    pub fn similar_items_into(
+        &self,
+        item: u32,
+        k: usize,
+        scratch: &mut Scratch,
+    ) -> Result<Vec<(u32, f32)>, String> {
+        self.similar(item, k, self.plan, scratch)
+    }
+
+    /// [`EngineState::similar_items`] served with `plan`.
+    pub fn similar(
+        &self,
+        item: u32,
+        k: usize,
+        plan: ReadPlan,
+        scratch: &mut Scratch,
+    ) -> Result<Vec<(u32, f32)>, String> {
+        if item as usize >= self.n_items {
+            return Err(format!("item {item} out of range (0..{})", self.n_items));
+        }
+        let metric = Metric::Cosine(self.item_norm(item));
+        Ok(self.rank(self.item_row(item as usize), metric, &[item], k, plan, scratch))
+    }
+
+    /// The read pipeline every `/recs` and `/similar` answer comes from:
+    /// the top `k` catalogue items for `query` under `metric`, best first
+    /// in [`rank_order`], none of the sorted `excluded` ids among them.
+    ///
+    /// 1. *Candidates*: every live position, or — when `plan` probes an
+    ///    index — the probed cells' members, sorted ascending so that an
+    ///    index tie-break is still an id tie-break.
+    /// 2. *Score*: `matmul_nt_block` over the live block on a full scan,
+    ///    `dot` per candidate otherwise, or the int8 table under
+    ///    `plan.int8`. A cosine query of norm 0 scores every candidate 0
+    ///    without a scan.
+    /// 3. *Cosine*: under [`Metric::Cosine`], each score becomes a cosine.
+    /// 4. *Mask*: the `excluded` ids score `-inf`.
+    /// 5. *Select*: one `top_k_indices_into` keeps `k` (int8:
+    ///    `CANDIDATE_FACTOR·k`) candidates; masked ones are dropped.
+    /// 6. *Rescore*: under int8, the survivors get their exact score and
+    ///    are cut to `k`.
+    /// 7. *Zero class*: [`EngineState::merge_zero_class`].
+    ///
+    /// An exact full-scan dot query with a non-finite component takes
+    /// [`EngineState::top_k_exact_full_width`] instead.
+    fn rank(
+        &self,
+        query: &[f32],
+        metric: Metric,
+        excluded: &[u32],
+        k: usize,
+        plan: ReadPlan,
+        scratch: &mut Scratch,
+    ) -> Vec<(u32, f32)> {
+        let ann = self.ann.as_ref().filter(|_| plan.nprobe > 0);
+        let quant = self.quant.as_ref().filter(|_| plan.int8);
+        if ann.is_none()
+            && quant.is_none()
+            && matches!(metric, Metric::Dot)
+            && !query.iter().all(|x| x.is_finite())
+        {
+            return self.top_k_exact_full_width(query, excluded, k, scratch);
+        }
+        let Scratch {
+            scores,
+            idx,
+            qbuf,
+            cells,
+            cand,
+            ..
+        } = scratch;
+        let cand: Option<&[u32]> = ann.map(move |ann| {
+            let probed = ann.candidates_into_n(query, plan.nprobe, cells, cand);
+            cand.sort_unstable();
+            registry::add(Counter::AnnCellsProbed, probed as u64);
+            registry::add(Counter::AnnCandidates, cand.len() as u64);
+            cand.as_slice()
+        });
+        let pos = |i: usize| cand.map_or(i, |c| c[i] as usize);
+        let finish = |p: usize, s: f32| match metric {
+            Metric::Dot => s,
+            Metric::Cosine(qn) => {
+                let n = qn * self.live_norms[p];
+                if n > 0.0 {
+                    s / n
+                } else {
+                    0.0
+                }
+            }
+        };
+
+        scores.clear();
+        scores.resize(cand.map_or(self.live_items(), <[u32]>::len), 0.0);
+        let scan = match metric {
+            Metric::Dot => true,
+            Metric::Cosine(qn) => qn > 0.0,
+        };
+        if scan {
+            let q_scale = match quant {
+                Some(_) => QuantizedTable::quantize_query(query, qbuf),
+                None => 0.0,
+            };
+            match (quant, cand) {
+                (Some(qt), None) => qt.scores_into(qbuf, q_scale, scores),
+                (None, None) => self.live_scores_into(query, scores),
+                (_, Some(c)) => {
+                    for (s, &p) in scores.iter_mut().zip(c) {
+                        *s = match quant {
+                            Some(qt) => qt.score_row(p as usize, qbuf, q_scale),
+                            None => dot(query, self.live_row(p as usize)),
+                        };
+                    }
+                }
+            }
+            if let Metric::Cosine(_) = metric {
+                for (i, s) in scores.iter_mut().enumerate() {
+                    *s = finish(pos(i), *s);
+                }
+            }
+        }
+
+        for &it in excluded {
+            let Some(p) = self.live_position(it) else {
+                continue;
+            };
+            let slot = cand.map_or(Some(p), |c| c.binary_search(&(p as u32)).ok());
+            if let Some(i) = slot {
+                scores[i] = f32::NEG_INFINITY;
+            }
+        }
+
+        let width = if quant.is_some() {
+            k.saturating_mul(CANDIDATE_FACTOR)
+        } else {
+            k
+        };
+        top_k_indices_into(scores, width, idx);
+        let mut out: Vec<(u32, f32)> = idx
+            .iter()
+            .map(|&i| i as usize)
+            .filter(|&i| scores[i] != f32::NEG_INFINITY)
+            .map(|i| {
+                let p = pos(i);
+                let s = if quant.is_some() {
+                    finish(p, dot(query, self.live_row(p)))
+                } else {
+                    scores[i]
+                };
+                (self.live_ids[p], s)
+            })
+            .collect();
+        if quant.is_some() {
+            registry::add(Counter::QuantScans, 1);
+            registry::add(Counter::QuantRescored, out.len() as u64);
+            out.sort_by(rank_order);
+            out.truncate(k);
+        }
+
+        self.merge_zero_class(&mut out, k, excluded);
+        out
+    }
+
     /// Exact f32 scores of a readout row against the live rows, one per
-    /// live position, written into `out`. The same `matmul_nt` kernel as
-    /// [`score_from_final`], so every live score is bitwise the offline
-    /// evaluator's.
-    fn live_scores_into(&self, row: &[f32], out: &mut Vec<f32>) {
-        out.clear();
-        out.resize(self.live_items(), 0.0);
+    /// live position, written into `out` (`live_items` long). The same
+    /// `matmul_nt` kernel as [`score_from_final`], so every live score is
+    /// bitwise the offline evaluator's.
+    fn live_scores_into(&self, row: &[f32], out: &mut [f32]) {
         let kern = kernels::active_kernel();
         kernels::count_dispatch(kern);
         kernels::matmul_nt_block(
@@ -624,30 +803,12 @@ impl EngineState {
         );
     }
 
-    /// Sets the live positions of the `seen` ids to `-inf`.
-    fn mask_live(&self, seen: &[u32], scores: &mut [f32]) {
-        for &it in seen {
-            if let Some(p) = self.live_position(it) {
-                scores[p] = f32::NEG_INFINITY;
-            }
-        }
-    }
-
-    /// The top `k` live positions of `scores` (through `idx`) as
-    /// `(id, score)`, best first, masked entries dropped.
-    fn select_live(&self, scores: &[f32], k: usize, idx: &mut Vec<u32>) -> Vec<(u32, f32)> {
-        top_k_indices_into(scores, k, idx);
-        idx.iter()
-            .map(|&p| (self.live_ids[p as usize], scores[p as usize]))
-            .filter(|&(_, s)| s != f32::NEG_INFINITY)
-            .collect()
-    }
-
     /// Merges the zero class into `out`, a live ranking in [`rank_order`]
-    /// at most `k` long. Every zero row scores `+0.0`, so the class can
-    /// only place when fewer than `k` live candidates survive or the k-th
-    /// live score is `<= 0`, and then only through its `k` lowest ids
-    /// outside `excluded` (sorted ascending; walked as a merge).
+    /// at most `k` long. Every zero row scores `+0.0` (and a zero row's
+    /// cosine is `0`), so the class can only place when fewer than `k`
+    /// live candidates survive or the k-th live score is `<= 0`, and then
+    /// only through its `k` lowest ids outside `excluded` (sorted
+    /// ascending; walked as a merge).
     fn merge_zero_class(&self, out: &mut Vec<(u32, f32)>, k: usize, excluded: &[u32]) {
         let open = out.len() < k || out.last().is_some_and(|&(_, s)| s <= 0.0);
         if !open {
@@ -670,27 +831,10 @@ impl EngineState {
         }
     }
 
-    fn top_k_exact(
-        &self,
-        row: &[f32],
-        seen: &[u32],
-        k: usize,
-        scratch: &mut Scratch,
-    ) -> Vec<(u32, f32)> {
-        if !row.iter().all(|x| x.is_finite()) {
-            return self.top_k_exact_full_width(row, seen, k, scratch);
-        }
-        self.live_scores_into(row, &mut scratch.scores);
-        self.mask_live(seen, &mut scratch.scores);
-        let mut out = self.select_live(&scratch.scores, k, &mut scratch.idx);
-        self.merge_zero_class(&mut out, k, seen);
-        out
-    }
-
-    /// [`EngineState::top_k_exact`] for a query row with a non-finite
-    /// component, whose zero-row score `dot(row, 0)` may be NaN: every id
-    /// is scored into one full-width vector and selected in one pass, so a
-    /// NaN panics exactly where a full scan's would.
+    /// The exact full scan for a query row with a non-finite component,
+    /// whose zero-row score `dot(row, 0)` may be NaN: every id is scored
+    /// into one full-width vector and selected in one pass, so a NaN panics
+    /// exactly where a full scan's would.
     fn top_k_exact_full_width(
         &self,
         row: &[f32],
@@ -699,8 +843,9 @@ impl EngineState {
         scratch: &mut Scratch,
     ) -> Vec<(u32, f32)> {
         let scores = &mut scratch.scores;
-        self.live_scores_into(row, scores);
+        scores.clear();
         scores.resize(self.n_items, 0.0);
+        self.live_scores_into(row, &mut scores[..self.live_items()]);
         // Scatter in place, last position first: `live_ids[p] >= p`, so no
         // position is overwritten before it is read.
         for p in (0..self.live_items()).rev() {
@@ -722,252 +867,6 @@ impl EngineState {
             .map(|&i| (i, scores[i as usize]))
             .filter(|&(_, s)| s != f32::NEG_INFINITY)
             .collect()
-    }
-
-    /// The two-stage quantized path: int8 scan of the live rows, keep the
-    /// approximate top `CANDIDATE_FACTOR·k`, re-score those candidates with
-    /// the exact f32 dot, re-rank with the evaluator's tie-break, then merge
-    /// the zero class.
-    fn top_k_quant(
-        &self,
-        row: &[f32],
-        seen: &[u32],
-        k: usize,
-        scratch: &mut Scratch,
-    ) -> Vec<(u32, f32)> {
-        let qt = self.quant.as_ref().expect("quant table");
-        let q_scale = QuantizedTable::quantize_query(row, &mut scratch.qbuf);
-        scratch.scores.clear();
-        scratch.scores.resize(self.live_items(), 0.0);
-        qt.scores_into(&scratch.qbuf, q_scale, &mut scratch.scores);
-        registry::add(Counter::QuantScans, 1);
-        self.mask_live(seen, &mut scratch.scores);
-        top_k_indices_into(
-            &scratch.scores,
-            k.saturating_mul(CANDIDATE_FACTOR),
-            &mut scratch.idx,
-        );
-        let mut out: Vec<(u32, f32)> = scratch
-            .idx
-            .iter()
-            .filter(|&&p| scratch.scores[p as usize] != f32::NEG_INFINITY)
-            .map(|&p| {
-                (
-                    self.live_ids[p as usize],
-                    dot(row, self.live_row(p as usize)),
-                )
-            })
-            .collect();
-        registry::add(Counter::QuantRescored, out.len() as u64);
-        out.sort_by(rank_order);
-        out.truncate(k);
-        self.merge_zero_class(&mut out, k, seen);
-        out
-    }
-
-    /// The IVF ANN path: probe `nprobe` cells for the user's embedding and
-    /// scan only their members. With quant also on, the in-cell scan is the
-    /// int8 table and the top `CANDIDATE_FACTOR·k` survivors get an exact
-    /// f32 rescore (the PR 6 rank-then-rescore pipeline, restricted to the
-    /// probed candidates); without quant every candidate is scored with the
-    /// exact f32 dot directly. Either way the final scores are the exact
-    /// dots, bitwise-equal to the full-scan path's, the zero class is
-    /// merged last, and the candidate set is a deterministic function of
-    /// (embeddings, config) — see `ann.rs`.
-    fn top_k_ann(
-        &self,
-        row: &[f32],
-        seen: &[u32],
-        k: usize,
-        scratch: &mut Scratch,
-        nprobe: Option<usize>,
-    ) -> Vec<(u32, f32)> {
-        let ann = self.ann.as_ref().expect("ann index");
-        let nprobe = nprobe.unwrap_or_else(|| ann.nprobe());
-        let probed = ann.candidates_into_n(row, nprobe, &mut scratch.cells, &mut scratch.cand);
-        registry::add(Counter::AnnCellsProbed, probed as u64);
-        registry::add(Counter::AnnCandidates, scratch.cand.len() as u64);
-        let keep = |p: u32| seen.binary_search(&self.live_ids[p as usize]).is_err();
-        let exact = |p: u32| {
-            (
-                self.live_ids[p as usize],
-                dot(row, self.live_row(p as usize)),
-            )
-        };
-        let mut out: Vec<(u32, f32)> = if let Some(qt) = &self.quant {
-            let q_scale = QuantizedTable::quantize_query(row, &mut scratch.qbuf);
-            registry::add(Counter::QuantScans, 1);
-            let mut approx: Vec<(u32, f32)> = scratch
-                .cand
-                .iter()
-                .filter(|&&p| keep(p))
-                .map(|&p| (p, qt.score_row(p as usize, &scratch.qbuf, q_scale)))
-                .collect();
-            approx.sort_by(rank_order);
-            approx.truncate(k.saturating_mul(CANDIDATE_FACTOR));
-            let rescored: Vec<(u32, f32)> = approx.iter().map(|&(p, _)| exact(p)).collect();
-            registry::add(Counter::QuantRescored, rescored.len() as u64);
-            rescored
-        } else {
-            scratch
-                .cand
-                .iter()
-                .filter(|&&p| keep(p))
-                .map(|&p| exact(p))
-                .collect()
-        };
-        out.sort_by(rank_order);
-        out.truncate(k);
-        self.merge_zero_class(&mut out, k, seen);
-        out
-    }
-
-    /// Top-K most similar items by embedding cosine (the query item itself
-    /// excluded). Zero-norm embeddings score 0 rather than NaN. Allocating
-    /// wrapper around [`EngineState::similar_items_into`].
-    pub fn similar_items(&self, item: u32, k: usize) -> Result<Vec<(u32, f32)>, String> {
-        self.similar_items_into(item, k, &mut Scratch::default())
-    }
-
-    /// [`EngineState::similar_items`] with caller-held scratch. Under quant
-    /// the first stage ranks by int8-approximated cosine, then the exact
-    /// f32 cosine re-scores the candidates.
-    pub fn similar_items_into(
-        &self,
-        item: u32,
-        k: usize,
-        scratch: &mut Scratch,
-    ) -> Result<Vec<(u32, f32)>, String> {
-        self.similar_items_into_opts(item, k, scratch, ReadOverride::default())
-    }
-
-    /// [`EngineState::similar_items_into`] under a [`ReadOverride`].
-    pub fn similar_items_into_opts(
-        &self,
-        item: u32,
-        k: usize,
-        scratch: &mut Scratch,
-        ovr: ReadOverride,
-    ) -> Result<Vec<(u32, f32)>, String> {
-        if item as usize >= self.n_items {
-            return Err(format!("item {item} out of range (0..{})", self.n_items));
-        }
-        if self.ann.is_some() && (self.ann_default || ovr.force_ann) {
-            return Ok(self.similar_ann(item, k, scratch, ovr.nprobe));
-        }
-        // A zero row's cosine is 0 from either side, exactly the zero
-        // class's `+0.0`, so only the live rows are scored.
-        let q = self.item_row(item as usize);
-        let qn = self.item_norm(item);
-        let cosine = |p: usize, s: f32| {
-            let n = qn * self.live_norms[p];
-            if n > 0.0 {
-                s / n
-            } else {
-                0.0
-            }
-        };
-        scratch.scores.clear();
-        scratch.scores.resize(self.live_items(), 0.0);
-        let mut out = if let Some(qt) = &self.quant {
-            let q_scale = QuantizedTable::quantize_query(q, &mut scratch.qbuf);
-            qt.scores_into(&scratch.qbuf, q_scale, &mut scratch.scores);
-            registry::add(Counter::QuantScans, 1);
-            for (p, s) in scratch.scores.iter_mut().enumerate() {
-                *s = cosine(p, *s);
-            }
-            self.mask_live(&[item], &mut scratch.scores);
-            top_k_indices_into(
-                &scratch.scores,
-                k.saturating_mul(CANDIDATE_FACTOR),
-                &mut scratch.idx,
-            );
-            let mut out: Vec<(u32, f32)> = scratch
-                .idx
-                .iter()
-                .filter(|&&p| scratch.scores[p as usize] != f32::NEG_INFINITY)
-                .map(|&p| {
-                    let p = p as usize;
-                    (self.live_ids[p], cosine(p, dot(q, self.live_row(p))))
-                })
-                .collect();
-            registry::add(Counter::QuantRescored, out.len() as u64);
-            out.sort_by(rank_order);
-            out.truncate(k);
-            out
-        } else {
-            for (p, s) in scratch.scores.iter_mut().enumerate() {
-                if qn * self.live_norms[p] > 0.0 {
-                    *s = cosine(p, dot(q, self.live_row(p)));
-                }
-            }
-            self.mask_live(&[item], &mut scratch.scores);
-            self.select_live(&scratch.scores, k, &mut scratch.idx)
-        };
-        self.merge_zero_class(&mut out, k, &[item]);
-        Ok(out)
-    }
-
-    /// `/similar` over the IVF index: probe with the query item's embedding
-    /// and rank only the probed cells' members by exact f32 cosine (with
-    /// quant on, an int8-approximated cosine pre-ranks the candidates down
-    /// to `CANDIDATE_FACTOR·k` first), then merge the zero class. The query
-    /// item itself is excluded; zero-norm embeddings score 0 rather than
-    /// NaN.
-    fn similar_ann(
-        &self,
-        item: u32,
-        k: usize,
-        scratch: &mut Scratch,
-        nprobe: Option<usize>,
-    ) -> Vec<(u32, f32)> {
-        let ann = self.ann.as_ref().expect("ann index");
-        let q = self.item_row(item as usize);
-        let qn = self.item_norm(item);
-        let nprobe = nprobe.unwrap_or_else(|| ann.nprobe());
-        let probed = ann.candidates_into_n(q, nprobe, &mut scratch.cells, &mut scratch.cand);
-        registry::add(Counter::AnnCellsProbed, probed as u64);
-        registry::add(Counter::AnnCandidates, scratch.cand.len() as u64);
-        let query_pos = self.live_position(item).map(|p| p as u32);
-        let exact_cos = |p: u32| {
-            let n = qn * self.live_norms[p as usize];
-            let c = if n > 0.0 {
-                dot(q, self.live_row(p as usize)) / n
-            } else {
-                0.0
-            };
-            (self.live_ids[p as usize], c)
-        };
-        let mut out: Vec<(u32, f32)> = if let Some(qt) = &self.quant {
-            let q_scale = QuantizedTable::quantize_query(q, &mut scratch.qbuf);
-            registry::add(Counter::QuantScans, 1);
-            let mut approx: Vec<(u32, f32)> = scratch
-                .cand
-                .iter()
-                .filter(|&&p| Some(p) != query_pos)
-                .map(|&p| {
-                    let n = qn * self.live_norms[p as usize];
-                    let s = qt.score_row(p as usize, &scratch.qbuf, q_scale);
-                    (p, if n > 0.0 { s / n } else { 0.0 })
-                })
-                .collect();
-            approx.sort_by(rank_order);
-            approx.truncate(k.saturating_mul(CANDIDATE_FACTOR));
-            let rescored: Vec<(u32, f32)> = approx.iter().map(|&(p, _)| exact_cos(p)).collect();
-            registry::add(Counter::QuantRescored, rescored.len() as u64);
-            rescored
-        } else {
-            scratch
-                .cand
-                .iter()
-                .filter(|&&p| Some(p) != query_pos)
-                .map(|&p| exact_cos(p))
-                .collect()
-        };
-        out.sort_by(rank_order);
-        out.truncate(k);
-        self.merge_zero_class(&mut out, k, &[item]);
-        out
     }
 
     /// Dot-product scores for explicit `(user, item)` pairs — the
@@ -1049,75 +948,31 @@ fn compact_live_items(
     )
 }
 
-/// Mean overlap of an approximate top-`RECALL_K` path with the exact
-/// top-20 over up to [`RECALL_SAMPLE_USERS`] users spread evenly across
-/// the id space — the build-time guardrail behind the
-/// `serve.quant.recall_ppm` / `serve.ann.recall_ppm` gauges.
-fn measure_recall(
-    state: &EngineState,
-    ds: &Dataset,
-    approx: impl Fn(&EngineState, &Dataset, u32, &mut Scratch) -> Vec<(u32, f32)>,
-) -> f64 {
-    let mut scratch = Scratch::default();
+/// Mean overlap of the top-`RECALL_K` under `plan` with the exact top-20
+/// over up to [`RECALL_SAMPLE_USERS`] users spread evenly across the id
+/// space — the build-time guardrail behind the `serve.quant.recall_ppm` /
+/// `serve.ann.recall_ppm` gauges.
+fn measure_recall(state: &EngineState, ds: &Dataset, plan: ReadPlan) -> f64 {
     let samples = state.n_users.min(RECALL_SAMPLE_USERS);
     if samples == 0 {
         return 1.0;
     }
-    let stride = (state.n_users / samples).max(1);
-    let mut total = 0.0;
-    let mut counted = 0usize;
-    for s in 0..samples {
-        let user = (s * stride) as u32;
-        if user as usize >= state.n_users {
-            break;
-        }
-        let exact: Vec<u32> = state
-            .top_k_exact(
-                state.final_emb.row(user as usize),
-                ds.train_items(user),
-                RECALL_K,
-                &mut scratch,
-            )
-            .iter()
-            .map(|&(i, _)| i)
-            .collect();
-        let got: Vec<u32> = approx(state, ds, user, &mut scratch)
-            .iter()
-            .map(|&(i, _)| i)
-            .collect();
-        total += overlap_fraction(&got, &exact);
-        counted += 1;
-    }
-    if counted == 0 {
-        1.0
-    } else {
-        total / counted as f64
-    }
-}
-
-/// [`measure_recall`] over the quantized full-catalog scan.
-fn measure_quant_recall(state: &EngineState, ds: &Dataset) -> f64 {
-    measure_recall(state, ds, |st, ds, u, scratch| {
-        st.top_k_quant(
-            st.final_emb.row(u as usize),
-            ds.train_items(u),
-            RECALL_K,
-            scratch,
-        )
-    })
-}
-
-/// [`measure_recall`] over the IVF ANN path (composed with quant when on).
-fn measure_ann_recall(state: &EngineState, ds: &Dataset) -> f64 {
-    measure_recall(state, ds, |st, ds, u, scratch| {
-        st.top_k_ann(
-            st.final_emb.row(u as usize),
-            ds.train_items(u),
-            RECALL_K,
-            scratch,
-            None,
-        )
-    })
+    let stride = state.n_users / samples;
+    let mut scratch = Scratch::default();
+    let mut top = |user: u32, plan| -> Vec<u32> {
+        let row = state.final_emb.row(user as usize);
+        let seen = ds.train_items(user);
+        let ranked = state.rank(row, Metric::Dot, seen, RECALL_K, plan, &mut scratch);
+        ranked.iter().map(|&(i, _)| i).collect()
+    };
+    let total: f64 = (0..samples)
+        .map(|s| {
+            let user = (s * stride) as u32;
+            let exact = top(user, ReadPlan::default());
+            overlap_fraction(&top(user, plan), &exact)
+        })
+        .sum();
+    total / samples as f64
 }
 
 /// Loads a tagged checkpoint and materializes an [`EngineState`].
@@ -1224,7 +1079,8 @@ fn build_state(
         opts,
     );
     if state.quant_enabled() {
-        state.quant_recall = measure_quant_recall(&state, &ds);
+        let plan = ReadPlan { nprobe: 0, int8: true };
+        state.quant_recall = measure_recall(&state, &ds, plan);
         registry::gauge_set(
             Gauge::QuantRecallPpm,
             (state.quant_recall * 1_000_000.0).round() as u64,
@@ -1233,7 +1089,11 @@ fn build_state(
     // A standby index is measured too: its recall is exactly what the
     // brownout controller trades away when it steps down to ANN.
     if state.ann_available() {
-        state.ann_recall = measure_ann_recall(&state, &ds);
+        let plan = ReadPlan {
+            nprobe: state.ann_nprobe(),
+            int8: state.quant_enabled(),
+        };
+        state.ann_recall = measure_recall(&state, &ds, plan);
         registry::gauge_set(
             Gauge::AnnRecallPpm,
             (state.ann_recall * 1_000_000.0).round() as u64,
@@ -1747,41 +1607,24 @@ mod tests {
         assert_eq!(st.ann_recall, 1.0, "standby recall is still measured");
 
         let mut scratch = Scratch::default();
+        let delta = st.delta();
+        let full = ReadPlan { nprobe: st.ann_nprobe(), int8: false };
+        let narrow = ReadPlan { nprobe: 1, ..full };
         for user in 0..4u32 {
             let e = exact.top_k(&ds, user, 3, true).expect("exact");
-            // No override: byte-identical to the exact engine.
+            // The configured plan: byte-identical to the exact engine.
             let d = st.top_k(&ds, user, 3, true).expect("default");
             assert_eq!(e, d, "user {user}: standby changed the default path");
             // Forced onto the index with a full probe: still identical
             // (every cell covered, exact rescore).
             let f = st
-                .top_k_into_opts(
-                    &ds,
-                    user,
-                    3,
-                    true,
-                    &mut scratch,
-                    ReadOverride {
-                        force_ann: true,
-                        nprobe: None,
-                    },
-                )
+                .recs(&delta, user, 3, true, full, &mut scratch)
                 .expect("forced");
             assert_eq!(e, f, "user {user}: forced full-probe ANN diverged");
             // Narrowed probe: a valid (possibly shorter) ranking whose
             // scores are exact dots for whatever candidates survive.
             let n = st
-                .top_k_into_opts(
-                    &ds,
-                    user,
-                    3,
-                    true,
-                    &mut scratch,
-                    ReadOverride {
-                        force_ann: true,
-                        nprobe: Some(1),
-                    },
-                )
+                .recs(&delta, user, 3, true, narrow, &mut scratch)
                 .expect("narrowed");
             assert!(n.len() <= 3);
             for (it, s) in &n {
@@ -1791,18 +1634,10 @@ mod tests {
                 }
             }
         }
-        // /similar under a forced override answers too.
+        // /similar under a forced plan answers too.
         let e = exact.similar_items(1, 3).expect("exact similar");
         let f = st
-            .similar_items_into_opts(
-                1,
-                3,
-                &mut scratch,
-                ReadOverride {
-                    force_ann: true,
-                    nprobe: None,
-                },
-            )
+            .similar(1, 3, full, &mut scratch)
             .expect("forced similar");
         assert_eq!(e, f, "similar: forced full-probe ANN diverged");
         std::fs::remove_file(ckpt).ok();

@@ -2,7 +2,9 @@
 //! splitmix64-generated catalogues every read path that claims exactness
 //! must return what one full scan over the whole item table returns —
 //! the same ids in the same order with the same score bits — including
-//! where the all-zero rows must enter the ranking.
+//! where the all-zero rows must enter the ranking. Plans that score a
+//! partial candidate pool (an int8 pre-rank short of the live rows, a
+//! one-cell probe) must still return a valid ranking with exact scores.
 
 use super::tests::{ev, save_layergcn, save_lightgcn};
 use super::*;
@@ -133,18 +135,23 @@ impl Case {
         top_k_with_scores(&scores, k)
     }
 
+    /// The exact cosine of two items; `0` when either row is zero.
+    fn cosine(&self, a: u32, b: u32) -> f32 {
+        let norm = |r: &[f32]| dot(r, r).sqrt();
+        let (q, r) = (self.item_row(a), self.item_row(b));
+        let n = norm(q) * norm(r);
+        if n > 0.0 {
+            dot(q, r) / n
+        } else {
+            0.0
+        }
+    }
+
     /// The reference `/similar`: exact cosine against every id.
     fn full_similar(&self, item: u32, k: usize) -> Vec<(u32, f32)> {
-        let norm = |r: &[f32]| dot(r, r).sqrt();
-        let q = self.item_row(item);
-        let mut scores = vec![0.0f32; self.n_items()];
-        for (i, s) in scores.iter_mut().enumerate() {
-            let r = self.item_row(i as u32);
-            let n = norm(q) * norm(r);
-            if n > 0.0 {
-                *s = dot(q, r) / n;
-            }
-        }
+        let mut scores: Vec<f32> = (0..self.n_items() as u32)
+            .map(|i| self.cosine(item, i))
+            .collect();
         scores[item as usize] = f32::NEG_INFINITY;
         top_k_with_scores(&scores, k)
     }
@@ -152,6 +159,36 @@ impl Case {
 
 fn bits(v: &[(u32, f32)]) -> Vec<(u32, u32)> {
     v.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+}
+
+/// What a ranking from a partial candidate pool must still be: at most `k`
+/// ids, none of them `masked` (sorted) or repeated, in strict
+/// [`rank_order`], each carrying its `exact` score bits.
+fn assert_partial_ranking(
+    got: &[(u32, f32)],
+    k: usize,
+    masked: &[u32],
+    exact: impl Fn(u32) -> f32,
+    ctx: &str,
+) {
+    assert!(got.len() <= k, "more than k ids: {ctx}");
+    assert!(
+        got.windows(2).all(|w| rank_order(&w[0], &w[1]).is_lt()),
+        "not in strict rank order: {ctx}"
+    );
+    let mut ids: Vec<u32> = got.iter().map(|&(i, _)| i).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), got.len(), "duplicate id: {ctx}");
+    for &(it, s) in got {
+        assert!(masked.binary_search(&it).is_err(), "masked id {it}: {ctx}");
+        assert_eq!(s.to_bits(), exact(it).to_bits(), "id {it}: {ctx}");
+    }
+}
+
+/// `plan` narrowed to one probed cell.
+fn one_cell(plan: ReadPlan) -> ReadPlan {
+    ReadPlan { nprobe: 1, ..plan }
 }
 
 /// Zero shares of 0 %, ~50 % and ~90 %, plus a catalogue with no live row.
@@ -207,6 +244,7 @@ fn every_read_path_equals_the_full_scan_on_generated_catalogues() {
     let mut g = SplitMix64::new(0x11fe_2025);
     let mut scratch = Scratch::default();
     let (mut cases, mut odd_live, mut zero_class_placed) = (0usize, 0usize, 0usize);
+    let mut narrowed = 0usize;
     for share in ZERO_SHARES {
         for _ in 0..4 {
             let case = Case::generate(&mut g, share);
@@ -218,6 +256,7 @@ fn every_read_path_equals_the_full_scan_on_generated_catalogues() {
             assert_eq!(n_live + case.n_zero, case.n_items());
             assert_eq!(exact.zero_ids.len(), case.n_zero);
             odd_live += usize::from(!n_live.is_multiple_of(16));
+            narrowed += usize::from(ann.ann_cells() > 1);
             for u in 0..case.n_users() {
                 let urow = case.full.row(u).to_vec();
                 for scale in [1.0f32, -1.0, 0.0] {
@@ -235,28 +274,29 @@ fn every_read_path_equals_the_full_scan_on_generated_catalogues() {
                                  k {k} seen {seen:?}",
                                 case.n_items()
                             );
-                            let ovr = ReadOverride::default();
-                            let got = exact.top_k_row(&row, &seen, k, &mut scratch, ovr);
+                            let rank = |st: &EngineState, plan, scratch: &mut Scratch| {
+                                st.rank(&row, Metric::Dot, &seen, k, plan, scratch)
+                            };
+                            let exact_dot = |it: u32| dot(&row, case.item_row(it));
+                            let got = rank(&exact, exact.plan(), &mut scratch);
                             assert_eq!(bits(&got), bits(&want), "exact: {ctx}");
-                            let got = ann.top_k_row(&row, &seen, k, &mut scratch, ovr);
+                            let got = rank(&ann, ann.plan(), &mut scratch);
                             assert_eq!(bits(&got), bits(&want), "ann full probe: {ctx}");
                             for (name, st) in [("quant", &quant), ("ann+quant", &ann_quant)] {
-                                let got = st.top_k_row(&row, &seen, k, &mut scratch, ovr);
+                                let got = rank(st, st.plan(), &mut scratch);
                                 if k.saturating_mul(CANDIDATE_FACTOR) >= n_live {
                                     assert_eq!(bits(&got), bits(&want), "{name}: {ctx}");
                                 } else {
                                     // A partial candidate pool: still a
                                     // ranking of unmasked ids by exact scores.
                                     assert_eq!(got.len(), want.len(), "{name}: {ctx}");
-                                    assert!(got
-                                        .windows(2)
-                                        .all(|w| rank_order(&w[0], &w[1]).is_lt()));
-                                    for &(it, s) in &got {
-                                        assert!(seen.binary_search(&it).is_err(), "{name}: {ctx}");
-                                        let e = dot(&row, case.item_row(it));
-                                        assert_eq!(s.to_bits(), e.to_bits(), "{name}: {ctx}");
-                                    }
+                                    assert_partial_ranking(&got, k, &seen, exact_dot, &ctx);
                                 }
+                            }
+                            for (name, st) in [("ann", &ann), ("ann+quant", &ann_quant)] {
+                                let got = rank(st, one_cell(st.plan()), &mut scratch);
+                                let ctx = format!("{name} one cell: {ctx}");
+                                assert_partial_ranking(&got, k, &seen, exact_dot, &ctx);
                             }
                             zero_class_placed += usize::from(
                                 want.iter()
@@ -285,19 +325,25 @@ fn every_read_path_equals_the_full_scan_on_generated_catalogues() {
         "no catalogue had a live count off the 16-row panel"
     );
     assert!(zero_class_placed > 0, "no case needed the zero class");
+    assert!(narrowed > 0, "no one-cell probe left a cell out");
 }
 
 #[test]
 fn similar_items_equal_the_full_cosine_scan() {
     let mut g = SplitMix64::new(0x51_3111a5);
     let mut scratch = Scratch::default();
+    let mut narrowed = 0usize;
     for share in ZERO_SHARES {
         for _ in 0..3 {
             let case = Case::generate(&mut g, share);
             let exact = case.state(&exact_opts());
+            let quant = case.state(&quant_opts());
             let ann = case.state(&full_probe_opts(false));
+            let ann_quant = case.state(&full_probe_opts(true));
             let n_live = exact.live_items();
+            narrowed += usize::from(ann.ann_cells() > 1);
             for item in 0..case.n_items() as u32 {
+                let exact_cos = |it: u32| case.cosine(item, it);
                 for k in ks(n_live, case.n_items()) {
                     let want = case.full_similar(item, k);
                     let ctx = format!("share {share} item {item} k {k}");
@@ -309,10 +355,29 @@ fn similar_items_equal_the_full_cosine_scan() {
                         .similar_items_into(item, k, &mut scratch)
                         .expect("similar");
                     assert_eq!(bits(&got), bits(&want), "ann full probe: {ctx}");
+                    for (name, st) in [("quant", &quant), ("ann+quant", &ann_quant)] {
+                        let got = st
+                            .similar_items_into(item, k, &mut scratch)
+                            .expect("similar");
+                        if k.saturating_mul(CANDIDATE_FACTOR) >= n_live {
+                            assert_eq!(bits(&got), bits(&want), "{name}: {ctx}");
+                        } else {
+                            assert_eq!(got.len(), want.len(), "{name}: {ctx}");
+                            assert_partial_ranking(&got, k, &[item], exact_cos, &ctx);
+                        }
+                    }
+                    for (name, st) in [("ann", &ann), ("ann+quant", &ann_quant)] {
+                        let got = st
+                            .similar(item, k, one_cell(st.plan()), &mut scratch)
+                            .expect("similar");
+                        let ctx = format!("{name} one cell: {ctx}");
+                        assert_partial_ranking(&got, k, &[item], exact_cos, &ctx);
+                    }
                 }
             }
         }
     }
+    assert!(narrowed > 0, "no one-cell probe left a cell out");
 }
 
 #[test]
@@ -356,13 +421,7 @@ fn an_infinite_query_component_still_panics_on_the_nan_scores() {
     let st = case.state(&exact_opts());
     let mut row = case.full.row(0).to_vec();
     row[0] = f32::INFINITY;
-    st.top_k_row(
-        &row,
-        &[],
-        5,
-        &mut Scratch::default(),
-        ReadOverride::default(),
-    );
+    st.rank(&row, Metric::Dot, &[], 5, st.plan(), &mut Scratch::default());
 }
 
 /// The brute-force test's catalogue: 37 items, of which only 0..7 carry

@@ -4,11 +4,12 @@
 //! service on `std::net` alone — no tokio, no hyper, no serde:
 //!
 //! * [`engine`] — loads the checkpoint once, materializes the final node
-//!   embedding table, and answers `top_k` / `similar_items` /
-//!   `score_pairs` through the *same* kernels as the offline evaluator, so
-//!   served rankings are byte-identical to `evaluate_ranking` output for
-//!   any `LRGCN_THREADS`. Hot reload swaps an `Arc<EngineState>` under a
-//!   `RwLock`; requests in flight keep their snapshot.
+//!   embedding table, and answers `/recs` and `/similar` through one read
+//!   pipeline driven by a [`ReadPlan`] (and `score_pairs` beside it) on
+//!   the *same* kernels as the offline evaluator, so served rankings are
+//!   byte-identical to `evaluate_ranking` output for any `LRGCN_THREADS`.
+//!   Hot reload swaps an `Arc<EngineState>` under a `RwLock`; requests in
+//!   flight keep their snapshot.
 //! * [`ann`] — a zero-dependency IVF index (deterministic k-means coarse
 //!   quantizer + inverted cell lists) for sub-linear `/recs` and
 //!   `/similar` candidate generation behind `serve --ann --nprobe N`,
@@ -41,8 +42,8 @@
 //! are prompt 503 + `Retry-After`), honors per-request
 //! `x-lrgcn-deadline-ms` deadlines (checked at dequeue and again before
 //! the scoring kernel), and — with `--brownout` — steps the live read
-//! path down under sustained pressure (exact → ANN via
-//! [`engine::ReadOverride`] → narrower probes + k cap → stale cache) and
+//! path down under sustained pressure (exact → an IVF [`ReadPlan`] →
+//! narrower probes + k cap → stale cache) and
 //! back up with hysteresis. `--ann-standby` builds the IVF index without
 //! serving through it so level 1 has somewhere cheaper to go.
 //!
@@ -69,5 +70,5 @@ pub use batch::Batcher;
 pub use cache::TopKCache;
 pub use chaos::{ChaosClient, ConnFault, FaultPlan};
 pub use delta::StreamDelta;
-pub use engine::{Engine, EngineOptions, EngineState, ReadOverride, Scratch};
+pub use engine::{Engine, EngineOptions, EngineState, ReadPlan, Scratch};
 pub use server::{render_metrics, serve, ServerConfig, ServerHandle};

@@ -45,7 +45,7 @@
 
 use crate::batch::Batcher;
 use crate::cache::{Key, TopKCache};
-use crate::engine::{Engine, EngineState, ReadOverride, Scratch};
+use crate::engine::{Engine, EngineState, ReadPlan, Scratch};
 use crate::http::{read_more, read_request, write_response, Request};
 use lrgcn_obs::json::Value;
 use lrgcn_obs::registry::{bucket_upper_ns, HIST_BUCKETS};
@@ -218,7 +218,7 @@ pub fn serve(engine: Arc<Engine>, cfg: ServerConfig) -> Result<ServerHandle, Str
     let conns = Arc::new(Conns::new(addr));
     let cache = Arc::new(TopKCache::new(cfg.cache_capacity, n_workers.max(1)));
     let batcher = Batcher::new(cfg.batch_tick);
-    let obs = Arc::new(ObsState::new(&cfg, read_path_of(&engine))?);
+    let obs = Arc::new(ObsState::new(&cfg)?);
     let overload = Arc::new(Overload::new(&cfg));
     registry::gauge_set(Gauge::BrownoutLevel, 0);
     let ingest = match &cfg.events_log {
@@ -597,12 +597,12 @@ fn under_pressure(w10: &WindowStats, slo_ns: u64, ov: &Overload) -> bool {
 }
 
 /// What a compute handler receives from the overload layer: the deadline
-/// (re-checked right before the scoring kernel), the brownout read-path
-/// override and k cap, and the slot guard that holds its admission slot
+/// (re-checked right before the scoring kernel), the read plan and k cap
+/// of the brownout level, and the slot guard that holds its admission slot
 /// for the handler's whole run.
 struct Permit<'a> {
     deadline: Option<Instant>,
-    ovr: ReadOverride,
+    plan: ReadPlan,
     level: u8,
     _slot: Option<SlotGuard<'a>>,
 }
@@ -629,7 +629,7 @@ impl Permit<'_> {
 }
 
 /// Runs a compute request through deadline resolution and the admission
-/// gate; the brownout read override is sampled once, at admission.
+/// gate; the brownout read plan is sampled once, at admission.
 fn gated<'a>(req: &Request, ctx: &'a Ctx) -> Result<Permit<'a>, Reply> {
     let deadline = ctx.overload.deadline_of(req)?;
     if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -639,36 +639,26 @@ fn gated<'a>(req: &Request, ctx: &'a Ctx) -> Result<Permit<'a>, Reply> {
     let level = ctx.overload.level();
     Ok(Permit {
         deadline,
-        ovr: read_override_for(level, &ctx.engine.state()),
+        plan: plan_for(level, &ctx.engine.state()),
         level,
         _slot: slot,
     })
 }
 
-/// Maps a brownout level onto a [`ReadOverride`]. Level 1 forces the ANN
-/// index (when one is loaded — `--ann-standby` exists exactly for this);
-/// levels 2+ also halve the probe width. A server with no index degrades
-/// by shedding alone: the override never makes a request *more* expensive.
-fn read_override_for(level: u8, st: &EngineState) -> ReadOverride {
+/// The read plan a brownout level serves with. Level 0 is the engine's
+/// configured plan; level 1 probes the IVF index (when one is loaded —
+/// `--ann-standby` exists exactly for this) at its configured width;
+/// levels 2+ halve the width. A server with no index degrades by shedding
+/// alone: the plan never makes a request *more* expensive.
+fn plan_for(level: u8, st: &EngineState) -> ReadPlan {
+    let plan = st.plan();
     if level == 0 || !st.ann_available() {
-        return ReadOverride::default();
+        return plan;
     }
-    ReadOverride {
-        force_ann: true,
-        nprobe: (level >= 2).then(|| (st.ann_nprobe() / 2).max(1)),
-    }
-}
-
-/// Which scan this engine configuration answers requests with. Fixed per
-/// process: reload preserves the engine options, so one label per server.
-fn read_path_of(engine: &Engine) -> ReadPath {
-    let st = engine.state();
-    if st.ann_enabled() {
-        ReadPath::Ann
-    } else if st.quant_enabled() {
-        ReadPath::Quant
-    } else {
-        ReadPath::Exact
+    let nprobe = st.ann_nprobe();
+    ReadPlan {
+        nprobe: if level >= 2 { (nprobe / 2).max(1) } else { nprobe },
+        ..plan
     }
 }
 
@@ -676,7 +666,6 @@ fn read_path_of(engine: &Engine) -> ReadPath {
 /// generator, SLO thresholds, and the (optional) sampled access log.
 struct ObsState {
     started: Instant,
-    read_path: ReadPath,
     slo_p99_ms: Option<u64>,
     slo_err_ppm: Option<u64>,
     access: Option<Mutex<File>>,
@@ -687,7 +676,7 @@ struct ObsState {
 }
 
 impl ObsState {
-    fn new(cfg: &ServerConfig, read_path: ReadPath) -> Result<Self, String> {
+    fn new(cfg: &ServerConfig) -> Result<Self, String> {
         let access = match &cfg.access_log {
             Some(p) => Some(Mutex::new(
                 OpenOptions::new()
@@ -704,7 +693,6 @@ impl ObsState {
             .unwrap_or(0);
         Ok(Self {
             started: Instant::now(),
-            read_path,
             slo_p99_ms: cfg.slo_p99_ms,
             slo_err_ppm: cfg.slo_err_ppm,
             access,
@@ -752,6 +740,7 @@ impl ObsState {
         method: &str,
         path: &str,
         route: Route,
+        read_path: ReadPath,
         status: u16,
         ns: u64,
         generation: u64,
@@ -773,7 +762,7 @@ impl ObsState {
             ("route", Value::str(route.name())),
             ("status", Value::u64(status as u64)),
             ("latency_ns", Value::u64(ns)),
-            ("read_path", Value::str(self.read_path.name())),
+            ("read_path", Value::str(read_path.name())),
             ("generation", Value::u64(generation)),
         ])
         .render()
@@ -1095,11 +1084,13 @@ fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, last: bool, ctx: &
         .obs
         .slo_p99_ms
         .is_some_and(|ms| ns > ms.saturating_mul(1_000_000));
-    window::record_request(route_label, status, effective_read_path(ctx, route_label), ns, slow);
+    let read_path = effective_read_path(ctx, route_label);
+    window::record_request(route_label, status, read_path, ns, slow);
     if ctx.obs.access.is_some() {
         let generation = ctx.engine.generation();
-        ctx.obs
-            .access_log(&req_id, &method, &path, route_label, status, ns, generation);
+        ctx.obs.access_log(
+            &req_id, &method, &path, route_label, read_path, status, ns, generation,
+        );
     }
     !close && written.is_ok()
 }
@@ -1125,19 +1116,13 @@ fn response_headers<'a>(req_id: &'a str, status: u16) -> Vec<(&'static str, &'a 
     extra
 }
 
-/// The read-path label for a request's window sample: the server's
-/// configured path, except compute routes answered under brownout, which
-/// were forced onto the ANN index when one is loaded.
+/// The read-path label for a request's window sample and access-log
+/// line: the plan compute routes serve with at the current brownout level,
+/// the configured plan for every other route.
 fn effective_read_path(ctx: &Ctx, route: Route) -> ReadPath {
-    if matches!(route, Route::Recs | Route::Similar)
-        && ctx.obs.read_path != ReadPath::Ann
-        && ctx.overload.level() >= 1
-        && ctx.engine.state().ann_available()
-    {
-        ReadPath::Ann
-    } else {
-        ctx.obs.read_path
-    }
+    let compute = matches!(route, Route::Recs | Route::Similar);
+    let level = if compute { ctx.overload.level() } else { 0 };
+    plan_for(level, &ctx.engine.state()).path()
 }
 
 fn error_response(status: u16, msg: &str) -> Reply {
@@ -1360,7 +1345,7 @@ fn admin_obs(ctx: &Ctx) -> Reply {
         ("uptime_s", Value::u64(ctx.obs.started.elapsed().as_secs())),
         ("model", Value::str(st.model_name.clone())),
         ("generation", Value::u64(st.generation)),
-        ("read_path", Value::str(ctx.obs.read_path.name())),
+        ("read_path", Value::str(st.plan().path().name())),
         ("reloads", Value::u64(registry::get(Counter::ServeReloads))),
         (
             "cache",
@@ -1704,23 +1689,15 @@ fn recs(req: &Request, ctx: &Ctx, permit: &Permit) -> Reply {
     if user as usize >= st.n_users && delta.user_row(user).is_none() {
         return error_response(404, &format!("user {user} out of range (0..{})", st.n_users));
     }
-    // The key encodes the *effective* read configuration for this request:
-    // under a brownout override the ANN path (at its effective probe
-    // width) must not share entries with the exact/quant path, or a
+    // The key carries the plan this request is served with: under brownout
+    // a cheaper plan must not share entries with the configured one, or a
     // degraded ranking would keep serving after recovery.
-    let ann_used = st.ann_enabled() || (permit.ovr.force_ann && st.ann_available());
-    let eff_nprobe = if ann_used {
-        permit.ovr.nprobe.unwrap_or_else(|| st.ann_nprobe())
-    } else {
-        0
-    };
     let key = Key {
         generation: st.generation,
         user,
         k,
         exclude_seen,
-        quant: !ann_used && st.quant_enabled(),
-        nprobe: eff_nprobe as u32,
+        plan: permit.plan,
         delta: delta.version(),
     };
     // Deep brownout: any cached ranking for this user and shape — prior
@@ -1738,15 +1715,8 @@ fn recs(req: &Request, ctx: &Ctx, permit: &Permit) -> Reply {
             ]));
         }
     }
-    let ovr = permit.ovr;
     let compute = || {
-        SCRATCH.with(|s| {
-            if delta.is_empty() {
-                st.top_k_into_opts(st.ds(), user, k, exclude_seen, &mut s.borrow_mut(), ovr)
-            } else {
-                st.top_k_stream_opts(&delta, user, k, exclude_seen, &mut s.borrow_mut(), ovr)
-            }
-        })
+        SCRATCH.with(|s| st.recs(&delta, user, k, exclude_seen, permit.plan, &mut s.borrow_mut()))
     };
     let (items, cached) = if ctx.cache_enabled {
         match ctx.cache.get(&key) {
@@ -1799,7 +1769,7 @@ fn similar(req: &Request, ctx: &Ctx, permit: &Permit) -> Reply {
     if permit.expired() {
         return deadline_response("deadline expired before the scoring kernel");
     }
-    match SCRATCH.with(|s| st.similar_items_into_opts(item, k, &mut s.borrow_mut(), permit.ovr)) {
+    match SCRATCH.with(|s| st.similar(item, k, permit.plan, &mut s.borrow_mut())) {
         Ok(items) => json_response(&Value::obj([
             ("item", Value::u64(item as u64)),
             ("k", Value::u64(k as u64)),
@@ -2128,7 +2098,7 @@ mod tests {
             slo_err_ppm: Some(1000),
             ..ServerConfig::default()
         };
-        let obs = ObsState::new(&cfg, ReadPath::Exact).unwrap();
+        let obs = ObsState::new(&cfg).unwrap();
         window::record_request(Route::Recs, 200, ReadPath::Exact, 1_000_000, false);
         window::record_request(Route::Recs, 500, ReadPath::Exact, 90_000_000, true);
         let text = render_serving_metrics(&obs);
@@ -2199,7 +2169,7 @@ mod tests {
 
     #[test]
     fn request_ids_honor_wellformed_inbound_headers_only() {
-        let obs = ObsState::new(&ServerConfig::default(), ReadPath::Exact).unwrap();
+        let obs = ObsState::new(&ServerConfig::default()).unwrap();
         let mut req = fake_request("GET", "/healthz");
         req.headers
             .insert("x-lrgcn-request-id".into(), "trace-1.2:a_b".into());

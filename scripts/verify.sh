@@ -25,13 +25,17 @@
 #      round-trip
 #   8. kernel sweep: the golden-trajectory suite, the tensor crate's
 #      kernel_equality suite, the eval crate's tests (top-K select,
-#      parallel evaluation) and the serving engine's zero-class tests
-#      (live-row scan vs a full scan, ids and score bits) re-run under
+#      parallel evaluation) and every serving-engine test (`engine::`:
+#      the zero-class suite's live-row scan vs a full scan, ids and score
+#      bits, plus the standby, int8 and IVF engine tests) re-run under
 #      every LRGCN_KERNEL={naive,blocked,simd} × LRGCN_THREADS={1,8} pair —
 #      the cache-blocked and AVX2 kernels are contractually bitwise
 #      identical to the naive reference, so any trajectory drift fails the
-#      stage, and the engine serves all-zero item rows as one `+0.0` class,
-#      which holds only while every mode starts its chains at `+0.0`
+#      stage; the engine serves all-zero item rows as one `+0.0` class,
+#      which holds only while every mode starts its chains at `+0.0`; and
+#      the one read pipeline scores a full exact `/similar` scan with
+#      `matmul_nt_block` but a probed or rescored candidate with `dot`,
+#      so the IVF and int8 tests that compare the two need every mode
 #   9. ANN smoke: train on the yelp-like preset, serve the same checkpoint
 #      behind `--exact` and `--ann`, query both over /dev/tcp and fail if
 #      the IVF read path's recall@20 against the exact scan drops below
@@ -237,12 +241,12 @@ fi
     || { echo "verify: resume after mid-save kill failed"; exit 1; }
 echo "fault-injection smoke: OK"
 
-echo "==> kernel sweep: golden trajectory, kernel equality, eval, engine zero class under every kernel x thread pair"
+echo "==> kernel sweep: golden trajectory, kernel equality, eval, serving engine under every kernel x thread pair"
 for kernel in naive blocked simd; do
     for threads in 1 8; do
         for suite in "-p lrgcn-train --test golden_trajectory" \
             "-p lrgcn-tensor --test kernel_equality" "-p lrgcn-eval" \
-            "-p lrgcn-serve --lib engine::zero_class"; do
+            "-p lrgcn-serve --lib engine::"; do
             # shellcheck disable=SC2086  # $suite is a list of cargo arguments
             out=$(LRGCN_KERNEL=$kernel LRGCN_THREADS=$threads cargo test -q $suite 2>&1) || {
                 echo "$out"

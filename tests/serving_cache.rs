@@ -14,7 +14,7 @@
 use lrgcn::models::{LayerGcn, LayerGcnConfig, Recommender};
 use lrgcn::prelude::*;
 use lrgcn_serve::cache::Key;
-use lrgcn_serve::{chaos, serve, Engine, EngineOptions, ServerConfig, TopKCache};
+use lrgcn_serve::{chaos, serve, Engine, EngineOptions, ReadPlan, ServerConfig, TopKCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::SocketAddr;
@@ -138,8 +138,7 @@ fn cache_key_separates_read_path_configurations() {
         user: 7,
         k: 20,
         exclude_seen: true,
-        quant: false,
-        nprobe: 0,
+        plan: ReadPlan { nprobe: 0, int8: false },
         delta: 0,
     };
     cache.insert(base, vec![(1, 0.5), (2, 0.25)]);
@@ -149,13 +148,13 @@ fn cache_key_separates_read_path_configurations() {
     // and every distinct IVF probe width rank through different arithmetic,
     // so each must be its own cache universe.
     let quant = Key {
-        quant: true,
+        plan: ReadPlan { nprobe: 0, int8: true },
         ..base
     };
     assert!(cache.get(&quant).is_none(), "quant flag not in the key");
-    for nprobe in [1u32, 8, 38] {
+    for nprobe in [1usize, 8, 38] {
         let ann = Key {
-            nprobe,
+            plan: ReadPlan { nprobe, int8: false },
             ..base
         };
         assert!(
