@@ -1,8 +1,8 @@
 //! # lrgcn-bench — experiment harness for the LayerGCN reproduction
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §3 for the full
-//! index) plus Criterion micro-benchmarks for the hot kernels. This library
-//! holds the tiny CLI/layout helpers those binaries share.
+//! index). This library holds the tiny CLI/layout helpers those binaries
+//! share.
 
 use lrgcn::data::{Dataset, SplitRatios, SyntheticConfig};
 use std::collections::HashMap;

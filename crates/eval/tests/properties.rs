@@ -1,50 +1,74 @@
-//! Property-based tests for the evaluation stack: metric bounds and
-//! monotonicity, top-K ordering laws, and t-test symmetries.
+//! Generated-input tests for the evaluation stack: metric bounds and
+//! monotonicity, the perfect ranking, and t-test symmetries. Each law is
+//! checked on `CASES` splitmix64-generated inputs from a fixed seed, so a
+//! failure reproduces exactly. The top-K select is checked against a full
+//! sort in `topk_select.rs`.
 
-#![cfg(feature = "property-tests")]
-// Gated off by default: `proptest` cannot be fetched in the offline
-// build environment. Re-add the dev-dependency and pass
-// `--features property-tests` to run these.
 use lrgcn_eval::metrics::{dcg_at_k, idcg_at_k, ndcg_at_k, precision_at_k, recall_at_k};
-use lrgcn_eval::topk::top_k_indices;
 use lrgcn_eval::ttest::{paired_t_test, reg_inc_beta, two_sided_p};
-use proptest::prelude::*;
+use rand::{RngExt, SplitMix64};
 
-/// A ranking (permutation prefix of item ids) plus a sorted truth set.
-fn ranking_strategy() -> impl Strategy<Value = (Vec<u32>, Vec<u32>)> {
-    (2usize..40).prop_flat_map(|n| {
-        let ranked = Just((0..n as u32).collect::<Vec<u32>>()).prop_shuffle();
-        let truth = proptest::collection::btree_set(0..n as u32, 0..n).prop_map(|s| {
-            s.into_iter().collect::<Vec<u32>>()
-        });
-        (ranked, truth)
-    })
+const CASES: usize = 256;
+
+/// A ranking (a shuffle of the item ids `0..n`, `n` in `2..40`) plus a
+/// sorted truth set of `0..n` distinct ids.
+fn ranking(g: &mut SplitMix64) -> (Vec<u32>, Vec<u32>) {
+    let n = g.random_range(2u32..40);
+    let ranked = shuffled(g, n);
+    let size = g.random_range(0..n) as usize;
+    let mut truth = shuffled(g, n)[..size].to_vec();
+    truth.sort_unstable();
+    (ranked, truth)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// The ids `0..n` in a uniformly random order (Fisher–Yates).
+fn shuffled(g: &mut SplitMix64, n: u32) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..n).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, g.random_range(0..=i));
+    }
+    ids
+}
 
-    /// All metrics live in [0, 1]; recall is monotone in K; DCG ≤ IDCG.
-    #[test]
-    fn metric_bounds((ranked, truth) in ranking_strategy(), k in 1usize..45) {
+/// `len` in `lens` draws from `lo..hi`.
+fn floats(g: &mut SplitMix64, lens: std::ops::Range<usize>, lo: f64, hi: f64) -> Vec<f64> {
+    let len = g.random_range(lens);
+    (0..len).map(|_| g.random_range(lo..hi)).collect()
+}
+
+/// All metrics live in [0, 1]; recall is monotone in K; DCG ≤ IDCG.
+#[test]
+fn metric_bounds() {
+    let mut g = SplitMix64::new(0xe7a1_0001);
+    for _ in 0..CASES {
+        let (ranked, truth) = ranking(&mut g);
+        let k = g.random_range(1usize..45);
+        let case = format!("ranked={ranked:?} truth={truth:?} k={k}");
         let r = recall_at_k(&ranked, &truth, k);
         let p = precision_at_k(&ranked, &truth, k);
         let n = ndcg_at_k(&ranked, &truth, k);
-        prop_assert!((0.0..=1.0).contains(&r));
-        prop_assert!((0.0..=1.0).contains(&p));
-        prop_assert!((0.0..=1.0).contains(&n), "ndcg {n}");
-        prop_assert!(dcg_at_k(&ranked, &truth, k) <= idcg_at_k(truth.len(), k) + 1e-12);
+        assert!((0.0..=1.0).contains(&r), "recall {r}: {case}");
+        assert!((0.0..=1.0).contains(&p), "precision {p}: {case}");
+        assert!((0.0..=1.0).contains(&n), "ndcg {n}: {case}");
+        assert!(
+            dcg_at_k(&ranked, &truth, k) <= idcg_at_k(truth.len(), k) + 1e-12,
+            "{case}"
+        );
         if k > 1 {
-            prop_assert!(recall_at_k(&ranked, &truth, k) >= recall_at_k(&ranked, &truth, k - 1));
+            assert!(r >= recall_at_k(&ranked, &truth, k - 1), "{case}");
         }
     }
+}
 
-    /// Ranking all truth items first achieves recall and NDCG of exactly 1
-    /// at K = |truth| (when truth is non-empty).
-    #[test]
-    fn perfect_ranking_is_perfect((_, truth) in ranking_strategy()) {
+/// Ranking all truth items first achieves recall and NDCG of exactly 1
+/// at K = |truth| (when truth is non-empty).
+#[test]
+fn perfect_ranking_is_perfect() {
+    let mut g = SplitMix64::new(0xe7a1_0002);
+    for _ in 0..CASES {
+        let (_, truth) = ranking(&mut g);
         if truth.is_empty() {
-            return Ok(());
+            continue;
         }
         let mut perfect: Vec<u32> = truth.clone();
         for i in 0..50u32 {
@@ -53,58 +77,64 @@ proptest! {
             }
         }
         let k = truth.len();
-        prop_assert!((recall_at_k(&perfect, &truth, k) - 1.0).abs() < 1e-12);
-        prop_assert!((ndcg_at_k(&perfect, &truth, k) - 1.0).abs() < 1e-12);
+        assert!((recall_at_k(&perfect, &truth, k) - 1.0).abs() < 1e-12, "truth={truth:?}");
+        assert!((ndcg_at_k(&perfect, &truth, k) - 1.0).abs() < 1e-12, "truth={truth:?}");
     }
+}
 
-    /// top_k returns the same set as full sorting, in descending order.
-    #[test]
-    fn topk_matches_full_sort(
-        scores in proptest::collection::vec(-100.0f32..100.0, 1..60),
-        k in 1usize..70,
-    ) {
-        let got = top_k_indices(&scores, k);
-        let mut all: Vec<u32> = (0..scores.len() as u32).collect();
-        all.sort_by(|&a, &b| {
-            scores[b as usize]
-                .partial_cmp(&scores[a as usize])
-                .expect("finite")
-                .then(a.cmp(&b))
-        });
-        all.truncate(k.min(scores.len()));
-        prop_assert_eq!(got, all);
-    }
-
-    /// Paired t-test is antisymmetric in its arguments: swapping a and b
-    /// flips the sign of t and preserves p.
-    #[test]
-    fn ttest_antisymmetry(
-        a in proptest::collection::vec(0.0f64..1.0, 3..10),
-        deltas in proptest::collection::vec(-0.2f64..0.2, 3..10),
-    ) {
+/// Paired t-test is antisymmetric in its arguments: swapping a and b
+/// flips the sign of t and preserves p.
+#[test]
+fn ttest_antisymmetry() {
+    let mut g = SplitMix64::new(0xe7a1_0003);
+    for _ in 0..CASES {
+        let a = floats(&mut g, 3..10, 0.0, 1.0);
+        let deltas = floats(&mut g, 3..10, -0.2, 0.2);
         let n = a.len().min(deltas.len());
         let a = &a[..n];
         let b: Vec<f64> = a.iter().zip(&deltas[..n]).map(|(x, d)| x + d).collect();
         let ab = paired_t_test(a, &b);
         let ba = paired_t_test(&b, a);
-        prop_assert!((ab.t_statistic + ba.t_statistic).abs() < 1e-9
-            || (ab.t_statistic.is_infinite() && ba.t_statistic.is_infinite()));
+        assert!(
+            (ab.t_statistic + ba.t_statistic).abs() < 1e-9
+                || (ab.t_statistic.is_infinite() && ba.t_statistic.is_infinite()),
+            "a={a:?} b={b:?}"
+        );
         if ab.p_value.is_finite() && ba.p_value.is_finite() {
-            prop_assert!((ab.p_value - ba.p_value).abs() < 1e-9);
+            assert!((ab.p_value - ba.p_value).abs() < 1e-9, "a={a:?} b={b:?}");
         }
-        prop_assert!((0.0..=1.0).contains(&ab.p_value));
+        assert!((0.0..=1.0).contains(&ab.p_value), "a={a:?} b={b:?}");
     }
+}
 
-    /// The regularized incomplete beta is a CDF in x: monotone, 0 at 0, 1 at 1.
-    #[test]
-    fn inc_beta_monotone(a in 0.5f64..5.0, b in 0.5f64..5.0, x1 in 0.01f64..0.99, x2 in 0.01f64..0.99) {
+/// The regularized incomplete beta is a CDF in x: monotone, 0 at 0, 1 at 1.
+#[test]
+fn inc_beta_monotone() {
+    let mut g = SplitMix64::new(0xe7a1_0004);
+    for _ in 0..CASES {
+        let a = g.random_range(0.5f64..5.0);
+        let b = g.random_range(0.5f64..5.0);
+        let x1 = g.random_range(0.01f64..0.99);
+        let x2 = g.random_range(0.01f64..0.99);
         let (lo, hi) = if x1 <= x2 { (x1, x2) } else { (x2, x1) };
-        prop_assert!(reg_inc_beta(a, b, lo) <= reg_inc_beta(a, b, hi) + 1e-12);
+        assert!(
+            reg_inc_beta(a, b, lo) <= reg_inc_beta(a, b, hi) + 1e-12,
+            "a={a} b={b} lo={lo} hi={hi}"
+        );
     }
+}
 
-    /// Larger |t| can only shrink the two-sided p-value.
-    #[test]
-    fn p_value_monotone_in_t(t in 0.0f64..20.0, dt in 0.0f64..5.0, df in 1usize..60) {
-        prop_assert!(two_sided_p(t + dt, df) <= two_sided_p(t, df) + 1e-12);
+/// Larger |t| can only shrink the two-sided p-value.
+#[test]
+fn p_value_monotone_in_t() {
+    let mut g = SplitMix64::new(0xe7a1_0005);
+    for _ in 0..CASES {
+        let t = g.random_range(0.0f64..20.0);
+        let dt = g.random_range(0.0f64..5.0);
+        let df = g.random_range(1usize..60);
+        assert!(
+            two_sided_p(t + dt, df) <= two_sided_p(t, df) + 1e-12,
+            "t={t} dt={dt} df={df}"
+        );
     }
 }

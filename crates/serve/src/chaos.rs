@@ -29,8 +29,7 @@
 //!
 //! [`Conn`] and [`request`] are the tree's one well-behaved HTTP client:
 //! responses are framed by `Content-Length`, never by end of stream, so
-//! they work against a keep-alive server. Every serving test and
-//! `bench_pr10` use them.
+//! they work against a keep-alive server. Every serving test uses them.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};

@@ -5,8 +5,7 @@
 //! dropped) with a clean parse error — 400, or 431 for oversized headers
 //! — and valid requests interleaved with the abuse keep answering 200
 //! with byte-identical rankings. The fault vocabulary comes from
-//! `lrgcn_serve::chaos`, so the same seeded plans drive this soak and the
-//! `bench_pr10` overload bench.
+//! `lrgcn_serve::chaos`, whose seeded plans drive this soak.
 
 use lrgcn_data::{Dataset, SplitRatios, SyntheticConfig};
 use lrgcn_models::{LayerGcn, LayerGcnConfig, Recommender};
