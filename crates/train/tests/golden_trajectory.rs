@@ -1,12 +1,16 @@
 //! Golden-trajectory regression test.
 //!
-//! Freezes a seeded 3-epoch LayerGCN run on the scaled MOOC preset: the
-//! per-epoch training losses and validation Recall@20 values are pinned to
-//! constants captured from the reference build. Any future kernel rewrite,
-//! parallelization change or optimizer tweak that silently perturbs the
-//! numerics fails here instead of shipping — the kernels are contractually
-//! bitwise identical across thread counts, so this test passes unchanged at
-//! `LRGCN_THREADS=1` and `LRGCN_THREADS=8`.
+//! Freezes seeded 3-epoch runs of the three ego-table GCN families on the
+//! scaled MOOC preset: LayerGCN, LightGCN and LR-GCCF. For each, the
+//! per-epoch training losses, validation Recall@20 values and a per-layer
+//! probe (LayerGCN: the refinement similarities; LightGCN and LR-GCCF:
+//! `diagnostics().smoothness`) are pinned to constants captured from the
+//! reference build, and so is a 64-bit hash of the bits of every cell of
+//! the final `final_embeddings()` table. Any future kernel rewrite,
+//! parallelization change, optimizer tweak or model refactor that silently
+//! perturbs the numerics fails here instead of shipping — the kernels are
+//! contractually bitwise identical across thread counts, so this test
+//! passes unchanged at `LRGCN_THREADS=1` and `LRGCN_THREADS=8`.
 //!
 //! To re-capture after an *intentional* numeric change, run with
 //! `LRGCN_GOLDEN_PRINT=1` and paste the printed table:
@@ -16,10 +20,15 @@
 //! ```
 
 use lrgcn_data::{Dataset, SplitRatios, SyntheticConfig};
-use lrgcn_models::{LayerGcn, LayerGcnConfig};
+use lrgcn_models::traits::{EpochStats, ModelDiagnostics};
+use lrgcn_models::{
+    LayerGcn, LayerGcnConfig, LightGcn, LightGcnConfig, LrGccf, LrGccfConfig, Recommender,
+};
+use lrgcn_tensor::Matrix;
 use lrgcn_train::{train_with_early_stopping, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
 
 const EPOCHS: usize = 3;
 const TOL: f64 = 1e-6;
@@ -67,11 +76,144 @@ const GOLDEN_SIMS: [[f64; 4]; EPOCHS] = [
     ],
 ];
 
-fn run_trajectory() -> (Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
+/// FNV-1a hash of LayerGCN's `final_embeddings()` after its run.
+const GOLDEN_LAYERGCN_EMB_HASH: u64 = 0xc4c9b45beedbe1f5;
+
+#[allow(clippy::excessive_precision)]
+const GOLDEN_LIGHTGCN_LOSS: [f64; EPOCHS] = [
+    0.69157016277313232,
+    0.69130361080169678,
+    0.69096845388412476,
+];
+#[allow(clippy::excessive_precision)]
+const GOLDEN_LIGHTGCN_RECALL: [f64; EPOCHS] = [
+    0.77032520325203258,
+    0.77642276422764234,
+    0.79166666666666674,
+];
+/// LightGCN's `diagnostics().smoothness` per epoch: cosine of each
+/// consecutive layer pair of `[X^0, ..., X^4]`.
+#[allow(clippy::excessive_precision)]
+const GOLDEN_LIGHTGCN_SMOOTHNESS: [[f64; 4]; EPOCHS] = [
+    [
+        0.01689154500071894,
+        0.08708745893848917,
+        0.10811139031438531,
+        0.12180046798267263,
+    ],
+    [
+        0.02858095795535506,
+        0.13657913370438907,
+        0.16229801690497270,
+        0.17437261185829603,
+    ],
+    [
+        0.04029933023425771,
+        0.18196977973713616,
+        0.21192109633642997,
+        0.22254072834074129,
+    ],
+];
+const GOLDEN_LIGHTGCN_EMB_HASH: u64 = 0x07619ec29d62b0e2;
+
+#[allow(clippy::excessive_precision)]
+const GOLDEN_LRGCCF_LOSS: [f64; EPOCHS] = [
+    0.52666670083999634,
+    0.50596481561660767,
+    0.47940281033515930,
+];
+#[allow(clippy::excessive_precision)]
+const GOLDEN_LRGCCF_RECALL: [f64; EPOCHS] = [
+    0.78252032520325210,
+    0.79166666666666674,
+    0.80589430894308955,
+];
+/// LR-GCCF's `diagnostics().smoothness` per epoch over `[X^0, ..., X^3]`.
+#[allow(clippy::excessive_precision)]
+const GOLDEN_LRGCCF_SMOOTHNESS: [[f64; 3]; EPOCHS] = [
+    [
+        0.98342406702883567,
+        0.98616021753936567,
+        0.97550127147978238,
+    ],
+    [
+        0.98319617631205936,
+        0.98532534111800907,
+        0.97412886610841587,
+    ],
+    [
+        0.98296929768089003,
+        0.98446424179040815,
+        0.97282534697064804,
+    ],
+];
+const GOLDEN_LRGCCF_EMB_HASH: u64 = 0xa0e9de0da7191348;
+
+/// One seeded run: per-epoch loss, validation recall, the history's
+/// per-layer values, each epoch's `diagnostics().smoothness`, and the hash
+/// of the final embedding table.
+#[derive(Debug, PartialEq)]
+struct Trajectory {
+    losses: Vec<f64>,
+    recalls: Vec<f64>,
+    layer_values: Vec<Vec<f64>>,
+    smoothness: Vec<Vec<f64>>,
+    emb_hash: u64,
+}
+
+/// Forwards to the wrapped model and keeps every diagnostics probe the
+/// trainer takes, so one run yields each epoch's smoothness.
+struct Probe<M> {
+    inner: M,
+    smoothness: Mutex<Vec<Vec<f64>>>,
+}
+
+impl<M: Recommender> Recommender for Probe<M> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn train_epoch(&mut self, ds: &Dataset, epoch: usize, rng: &mut StdRng) -> EpochStats {
+        self.inner.train_epoch(ds, epoch, rng)
+    }
+    fn refresh(&mut self, ds: &Dataset) {
+        self.inner.refresh(ds)
+    }
+    fn score_users(&self, ds: &Dataset, users: &[u32]) -> Matrix {
+        self.inner.score_users(ds, users)
+    }
+    fn n_parameters(&self) -> usize {
+        self.inner.n_parameters()
+    }
+    fn diagnostics(&self, ds: &Dataset) -> Option<ModelDiagnostics> {
+        let d = self.inner.diagnostics(ds)?;
+        self.smoothness.lock().unwrap().push(d.smoothness.clone());
+        Some(d)
+    }
+}
+
+/// 64-bit FNV-1a over the `to_bits()` of every cell, row-major.
+fn bits_hash(m: &Matrix) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &x in m.data() {
+        for b in x.to_bits().to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn run_family<M: Recommender>(
+    build: impl FnOnce(&Dataset, &mut StdRng) -> M,
+    final_embeddings: impl Fn(&M) -> Matrix,
+) -> Trajectory {
     let log = SyntheticConfig::mooc().scaled(0.25).generate(11);
     let ds = Dataset::chronological_split("mooc-golden", &log, SplitRatios::default());
     let mut rng = StdRng::seed_from_u64(2023);
-    let mut model = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng);
+    let mut model = Probe {
+        inner: build(&ds, &mut rng),
+        smoothness: Mutex::new(Vec::new()),
+    };
     let cfg = TrainConfig {
         max_epochs: EPOCHS,
         patience: 1000,
@@ -85,65 +227,174 @@ fn run_trajectory() -> (Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
     };
     let out = train_with_early_stopping(&mut model, &ds, &cfg);
     let recalls: Vec<f64> = out.history.val_curve().iter().map(|&(_, r)| r).collect();
-    let sims: Vec<Vec<f64>> = out
+    let layer_values: Vec<Vec<f64>> = out
         .history
         .records()
         .iter()
         .filter_map(|r| r.layer_values.clone())
         .collect();
-    (out.history.losses(), recalls, sims)
+    Trajectory {
+        losses: out.history.losses(),
+        recalls,
+        layer_values,
+        smoothness: model.smoothness.into_inner().unwrap(),
+        emb_hash: bits_hash(&final_embeddings(&model.inner)),
+    }
 }
 
-#[test]
-fn layergcn_mooc_trajectory_matches_golden_values() {
-    let (losses, recalls, sims) = run_trajectory();
-    if std::env::var("LRGCN_GOLDEN_PRINT").is_ok() {
-        println!("GOLDEN_LOSS: {losses:.17?}");
-        println!("GOLDEN_RECALL: {recalls:.17?}");
-        println!("GOLDEN_SIMS: {sims:.17?}");
-        return;
-    }
-    assert_eq!(losses.len(), EPOCHS);
-    assert_eq!(recalls.len(), EPOCHS);
-    assert_eq!(sims.len(), EPOCHS, "every epoch validates, so every epoch probes");
-    let mut failures = Vec::new();
-    for e in 0..EPOCHS {
-        if (losses[e] - GOLDEN_LOSS[e]).abs() > TOL {
-            failures.push(format!(
-                "epoch {e} loss {:.9} != golden {:.9}",
-                losses[e], GOLDEN_LOSS[e]
-            ));
-        }
-        if (recalls[e] - GOLDEN_RECALL[e]).abs() > TOL {
-            failures.push(format!(
-                "epoch {e} recall@20 {:.9} != golden {:.9}",
-                recalls[e], GOLDEN_RECALL[e]
-            ));
-        }
-        assert_eq!(sims[e].len(), GOLDEN_SIMS[e].len(), "layer count changed");
-        for (l, (&got, &want)) in sims[e].iter().zip(&GOLDEN_SIMS[e]).enumerate() {
-            if (got - want).abs() > TOL {
-                failures.push(format!(
-                    "epoch {e} layer {l} similarity {got:.9} != golden {want:.9}"
-                ));
+fn layergcn_run() -> Trajectory {
+    run_family(
+        |ds, rng| LayerGcn::new(ds, LayerGcnConfig::default(), rng),
+        |m| m.final_embeddings(),
+    )
+}
+
+fn lightgcn_run() -> Trajectory {
+    run_family(
+        |ds, rng| LightGcn::new(ds, LightGcnConfig::default(), rng),
+        |m| m.final_embeddings(),
+    )
+}
+
+fn lrgccf_run() -> Trajectory {
+    run_family(
+        |ds, rng| LrGccf::new(ds, LrGccfConfig::default(), rng),
+        |m| m.final_embeddings(),
+    )
+}
+
+fn printing() -> bool {
+    std::env::var("LRGCN_GOLDEN_PRINT").is_ok()
+}
+
+fn print_run(family: &str, t: &Trajectory) {
+    println!("{family} LOSS: {:.17?}", t.losses);
+    println!("{family} RECALL: {:.17?}", t.recalls);
+    println!("{family} LAYER_VALUES: {:.17?}", t.layer_values);
+    println!("{family} SMOOTHNESS: {:.17?}", t.smoothness);
+    println!("{family} EMB_HASH: {:#018x}", t.emb_hash);
+}
+
+/// Compares `got` with `want` per epoch at [`TOL`], naming each deviation.
+fn check_rows<const N: usize>(
+    what: &str,
+    got: &[Vec<f64>],
+    want: &[[f64; N]; EPOCHS],
+    failures: &mut Vec<String>,
+) {
+    assert_eq!(got.len(), EPOCHS, "{what}: one row per epoch");
+    for (e, (row, golden)) in got.iter().zip(want).enumerate() {
+        assert_eq!(row.len(), N, "{what}: layer count changed");
+        for (l, (&g, &w)) in row.iter().zip(golden).enumerate() {
+            if (g - w).abs() > TOL {
+                failures.push(format!("epoch {e} layer {l} {what} {g:.9} != golden {w:.9}"));
             }
         }
+    }
+}
+
+/// Checks one family's losses, recalls, per-layer rows and embedding hash.
+fn check_run<const N: usize>(
+    family: &str,
+    t: &Trajectory,
+    layer_rows: &[Vec<f64>],
+    golden: (&[f64; EPOCHS], &[f64; EPOCHS], &[[f64; N]; EPOCHS], u64),
+) {
+    let (loss, recall, rows, hash) = golden;
+    assert_eq!(t.losses.len(), EPOCHS);
+    assert_eq!(t.recalls.len(), EPOCHS);
+    let mut failures = Vec::new();
+    for e in 0..EPOCHS {
+        if (t.losses[e] - loss[e]).abs() > TOL {
+            failures.push(format!(
+                "epoch {e} loss {:.9} != golden {:.9}",
+                t.losses[e], loss[e]
+            ));
+        }
+        if (t.recalls[e] - recall[e]).abs() > TOL {
+            failures.push(format!(
+                "epoch {e} recall@20 {:.9} != golden {:.9}",
+                t.recalls[e], recall[e]
+            ));
+        }
+    }
+    check_rows("per-layer value", layer_rows, rows, &mut failures);
+    if t.emb_hash != hash {
+        failures.push(format!(
+            "final embedding hash {:#018x} != golden {hash:#018x}",
+            t.emb_hash
+        ));
     }
     if !failures.is_empty() {
         // The word below is the tripwire scripts/verify.sh greps for; it
         // must appear on stderr only when the trajectory actually diverges.
-        eprintln!("numeric drift detected:\n  {}", failures.join("\n  "));
-        panic!("golden trajectory mismatch ({} deviations)", failures.len());
+        eprintln!("{family}: numeric drift detected:\n  {}", failures.join("\n  "));
+        panic!("{family} golden trajectory mismatch ({} deviations)", failures.len());
     }
 }
 
 #[test]
+fn layergcn_mooc_trajectory_matches_golden_values() {
+    let t = layergcn_run();
+    if printing() {
+        print_run("LAYERGCN", &t);
+        return;
+    }
+    assert_eq!(t.layer_values.len(), EPOCHS, "every epoch validates, so every epoch probes");
+    check_run(
+        "LayerGCN",
+        &t,
+        &t.layer_values,
+        (&GOLDEN_LOSS, &GOLDEN_RECALL, &GOLDEN_SIMS, GOLDEN_LAYERGCN_EMB_HASH),
+    );
+}
+
+#[test]
+fn lightgcn_mooc_trajectory_matches_golden_values() {
+    let t = lightgcn_run();
+    if printing() {
+        print_run("LIGHTGCN", &t);
+        return;
+    }
+    check_run(
+        "LightGCN",
+        &t,
+        &t.smoothness,
+        (
+            &GOLDEN_LIGHTGCN_LOSS,
+            &GOLDEN_LIGHTGCN_RECALL,
+            &GOLDEN_LIGHTGCN_SMOOTHNESS,
+            GOLDEN_LIGHTGCN_EMB_HASH,
+        ),
+    );
+}
+
+#[test]
+fn lrgccf_mooc_trajectory_matches_golden_values() {
+    let t = lrgccf_run();
+    if printing() {
+        print_run("LRGCCF", &t);
+        return;
+    }
+    check_run(
+        "LR-GCCF",
+        &t,
+        &t.smoothness,
+        (
+            &GOLDEN_LRGCCF_LOSS,
+            &GOLDEN_LRGCCF_RECALL,
+            &GOLDEN_LRGCCF_SMOOTHNESS,
+            GOLDEN_LRGCCF_EMB_HASH,
+        ),
+    );
+}
+
+#[test]
 fn trajectory_is_reproducible_within_one_build() {
-    // Guards the *premise* of the golden test: two in-process runs with the
-    // same seeds must agree bitwise, otherwise pinned constants would flake.
-    let (l1, r1, s1) = run_trajectory();
-    let (l2, r2, s2) = run_trajectory();
-    assert_eq!(l1, l2, "losses varied across identical runs");
-    assert_eq!(r1, r2, "recalls varied across identical runs");
-    assert_eq!(s1, s2, "layer similarities varied across identical runs");
+    // Guards the *premise* of the golden tests: two in-process runs with
+    // the same seeds must agree bitwise, otherwise pinned constants would
+    // flake.
+    for run in [layergcn_run, lightgcn_run, lrgccf_run] {
+        assert_eq!(run(), run(), "a family's run varied across identical runs");
+    }
 }

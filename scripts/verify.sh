@@ -52,7 +52,12 @@
 #      clients — sheds must be 503-with-Retry-After while goodput stays
 #      nonzero, a malformed x-lrgcn-deadline-ms must answer 400, and the
 #      degradation level must read 0 again after the burst
-#  12. the repo's benchmark (BENCHMARK.json): `benchmark/repeat.sh --quick`
+#  12. results drift gate: re-run the quick paper experiments (exp_table2,
+#      exp_table3, exp_fig1, exp_fig5, exp_fig6, exp_residual at --scale
+#      0.25 --epochs 5), strip the wall-clock "(N.Ns)" column and diff each
+#      against its committed copy in results/quick/ — any byte of drift in
+#      a table the paper reproduction prints fails the stage
+#  13. the repo's benchmark (BENCHMARK.json): `benchmark/repeat.sh --quick`
 #      builds the standalone package against the pinned surface and runs
 #      all four workloads plus one traced run on small presets — each must
 #      print `"correct": true` (served == offline parity, nothing lost) —
@@ -481,6 +486,19 @@ ovl_req POST /admin/shutdown >/dev/null || {
     echo "verify: overload smoke shutdown request failed"; exit 1; }
 wait "$ovl_pid" || { echo "verify: overload smoke serve exited non-zero"; exit 1; }
 echo "overload smoke: OK ($oks admitted, $sheds shed)"
+
+echo "==> results drift gate: quick exp_* outputs vs results/quick/"
+# To refresh after an intentional change, rerun the loop body with
+# `> "results/quick/$exp.txt"` in place of the diff.
+cargo build --release -q -p lrgcn-bench
+for exp in exp_table2 exp_table3 exp_fig1 exp_fig5 exp_fig6 exp_residual; do
+    "./target/release/$exp" --scale 0.25 --epochs 5 2>/dev/null \
+        | sed -E 's/\([0-9.]+s\)//g' >"$smoke/$exp.txt" \
+        || { echo "verify: $exp failed"; exit 1; }
+    diff -u "results/quick/$exp.txt" "$smoke/$exp.txt" || {
+        echo "verify: $exp output drifted from results/quick/$exp.txt"; exit 1; }
+done
+echo "results drift gate: OK"
 
 echo "==> benchmark smoke: pinned surface builds, every workload correct"
 bench_out=$(benchmark/repeat.sh --quick) || {
