@@ -50,8 +50,7 @@ pub use lrgcn_train as train;
 use lrgcn_data::Dataset;
 use lrgcn_eval::topk::top_k_indices;
 use lrgcn_graph::EdgePruner;
-use lrgcn_models::layergcn::{LayerGcn, LayerGcnConfig};
-use lrgcn_models::Recommender;
+use lrgcn_models::{LayerGcn, LayerGcnConfig, Recommender};
 use lrgcn_train::{train_with_early_stopping, TrainConfig, TrainOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -132,8 +132,9 @@ impl Recommender for Buir {
             let w = tape.leaf(self.predictor_w.value().clone());
             let bias = tape.leaf(self.predictor_b.value().clone());
             // Online LightGCN encoding on the tape.
-            let layers = crate::common::propagate_chain(&mut tape, &self.adj, x, self.cfg.n_layers);
-            let o = crate::common::mean_readout(&mut tape, &layers);
+            let light = crate::egogcn::Propagation::Light;
+            let (layers, _) = light.chain(&mut tape, &self.adj, x, self.cfg.n_layers);
+            let o = light.readout(&mut tape, &layers);
             let ou = tape.gather(o, Rc::clone(&u_idx));
             let oi = tape.gather(o, Rc::clone(&i_idx));
             let pu_lin = tape.matmul(ou, w);

@@ -4,16 +4,17 @@
 //! this module layers a convention on top so a file is self-describing:
 //!
 //! * a zero-sized marker entry named `__model__:<tag>` records which model
-//!   family wrote the file (`layergcn`, `lightgcn`, ...),
+//!   family wrote the file (`layergcn`, `lightgcn`, `lrgccf`),
 //! * the remaining entries are exactly what the model's
 //!   [`Recommender::checkpoint_entries`] returned.
 //!
-//! Readers that predate the tag (or per-model `load` methods) simply see an
-//! extra empty entry and ignore it, so tagged files stay loadable by the
-//! original LayerGCN-only code path, and untagged legacy files default to
-//! the `layergcn` family.
+//! A model refuses entries tagged for another family. Untagged legacy
+//! files carry no family and are accepted; the serving engine reads them
+//! as `layergcn`, the only family that existed before the tag.
 
+use crate::egogcn::{EgoGcnConfig, LayerGcnConfig, LightGcnConfig, LrGccfConfig};
 use crate::traits::Recommender;
+use lrgcn_graph::EdgePruner;
 use lrgcn_tensor::io::{self, IoError};
 use lrgcn_tensor::Matrix;
 
@@ -21,11 +22,60 @@ use lrgcn_tensor::Matrix;
 pub const MODEL_TAG_PREFIX: &str = "__model__:";
 
 /// Canonical family tags with a stable checkpoint format, i.e. the values
-/// [`save_model`] writes and the serving engine knows how to rebuild. This
-/// is the single source of truth: the CLI's `--save` error message and the
-/// serve engine's unsupported-tag error both derive from it, and
+/// [`save_model`] writes and [`servable_config`] rebuilds. This is the
+/// single source of truth: the CLI's `--save` error message and the serve
+/// engine's unsupported-tag error both derive from it, and
 /// `ModelKind::checkpoint_tag` must only ever return values listed here.
 pub const SERVABLE_TAGS: [&str; 3] = ["layergcn", "lightgcn", "lrgccf"];
+
+/// The configuration a `tag`ged checkpoint is rebuilt with for serving:
+/// the family's defaults with the checkpoint's embedding width and the
+/// caller's depth; `dropout` picks LayerGCN's pruner (and so its name).
+pub fn servable_config(
+    tag: &str,
+    embedding_dim: usize,
+    n_layers: usize,
+    dropout: f32,
+) -> Result<EgoGcnConfig, String> {
+    let cfg: EgoGcnConfig = match tag {
+        "layergcn" => LayerGcnConfig {
+            pruner: if dropout > 0.0 {
+                EdgePruner::DegreeDrop { ratio: dropout }
+            } else {
+                EdgePruner::None
+            },
+            ..LayerGcnConfig::default()
+        }
+        .into(),
+        "lightgcn" => LightGcnConfig::default().into(),
+        "lrgccf" => LrGccfConfig::default().into(),
+        other => {
+            return Err(format!(
+                "checkpoint is tagged {other:?}, which this server cannot rebuild \
+                 (supported: {})",
+                SERVABLE_TAGS.join(", ")
+            ))
+        }
+    };
+    Ok(EgoGcnConfig {
+        embedding_dim,
+        n_layers,
+        ..cfg
+    })
+}
+
+/// Writes `entries` to `path` behind the `tag` marker.
+pub fn save_entries(
+    path: impl AsRef<std::path::Path>,
+    tag: &str,
+    entries: &[(String, Matrix)],
+) -> Result<(), IoError> {
+    let marker_name = format!("{MODEL_TAG_PREFIX}{tag}");
+    let marker = Matrix::zeros(0, 0);
+    let mut refs: Vec<(&str, &Matrix)> = vec![(marker_name.as_str(), &marker)];
+    refs.extend(entries.iter().map(|(n, m)| (n.as_str(), m)));
+    io::save_checkpoint(path, &refs)
+}
 
 /// Saves `model` to `path` as a tagged checkpoint.
 ///
@@ -43,11 +93,7 @@ pub fn save_model(
             SERVABLE_TAGS.join(", ")
         )
     })?;
-    let marker_name = format!("{MODEL_TAG_PREFIX}{tag}");
-    let marker = Matrix::zeros(0, 0);
-    let mut refs: Vec<(&str, &Matrix)> = vec![(marker_name.as_str(), &marker)];
-    refs.extend(entries.iter().map(|(n, m)| (n.as_str(), m)));
-    io::save_checkpoint(path, &refs).map_err(|e| e.to_string())
+    save_entries(path, tag, &entries).map_err(|e| e.to_string())
 }
 
 /// The model-family tag recorded in checkpoint entries, if any.
@@ -55,17 +101,6 @@ pub fn model_tag(entries: &[(String, Matrix)]) -> Option<&str> {
     entries
         .iter()
         .find_map(|(n, _)| n.strip_prefix(MODEL_TAG_PREFIX))
-}
-
-/// Loads a tagged checkpoint into an already-constructed model, delegating
-/// shape validation to the model's
-/// [`Recommender::load_checkpoint_entries`].
-pub fn load_into(
-    path: impl AsRef<std::path::Path>,
-    model: &mut dyn Recommender,
-) -> Result<(), String> {
-    let entries = io::load_checkpoint(path).map_err(|e| e.to_string())?;
-    model.load_checkpoint_entries(&entries)
 }
 
 /// Finds the named entry, with a [`IoError::Corrupt`]-style message.
@@ -83,9 +118,8 @@ pub fn require_entry<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lightgcn::{LightGcn, LightGcnConfig};
     use crate::test_util::tiny_dataset;
-    use crate::{LayerGcn, LayerGcnConfig};
+    use crate::{LayerGcn, LayerGcnConfig, LightGcn, LightGcnConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -125,6 +159,48 @@ mod tests {
         let mut m2 = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng2);
         m2.load(&path).expect("legacy-style load");
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn checkpoints_of_another_family_are_refused() {
+        let ds = tiny_dataset(4);
+        let mut rng = StdRng::seed_from_u64(3);
+        let light = LightGcn::new(&ds, LightGcnConfig::default(), &mut rng);
+        let path = std::env::temp_dir().join("lrgcn_ckpt_cross_family.bin");
+        save_model(&path, "lightgcn", &light).expect("save");
+        // Same ego shape, so only the tag tells the families apart.
+        let mut layer = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng);
+        let err = layer.load(&path).expect_err("a lightgcn file loaded into LayerGCN");
+        let msg = err.to_string();
+        assert!(msg.contains("lightgcn") && msg.contains("layergcn"), "{msg}");
+        let entries = lrgcn_tensor::io::load_checkpoint(&path).expect("read");
+        let msg = layer
+            .load_checkpoint_entries(&entries)
+            .expect_err("lightgcn entries loaded into LayerGCN");
+        assert!(msg.contains("lightgcn") && msg.contains("layergcn"), "{msg}");
+        // Untagged files predate the marker and stay loadable.
+        let untagged: Vec<(String, Matrix)> = entries
+            .into_iter()
+            .filter(|(n, _)| !n.starts_with(MODEL_TAG_PREFIX))
+            .collect();
+        layer.load_checkpoint_entries(&untagged).expect("untagged entries");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn servable_config_rebuilds_the_tagged_family() {
+        for tag in SERVABLE_TAGS {
+            let cfg = servable_config(tag, 8, 2, 0.1).expect("servable");
+            assert_eq!(cfg.propagation.tag(), tag);
+            assert_eq!((cfg.embedding_dim, cfg.n_layers), (8, 2));
+        }
+        let pruner = |dropout| servable_config("layergcn", 8, 2, dropout).unwrap().pruner;
+        assert_eq!(pruner(0.1), EdgePruner::DegreeDrop { ratio: 0.1 });
+        assert_eq!(pruner(0.0), EdgePruner::None);
+        let err = servable_config("mystery", 8, 2, 0.1).expect_err("unknown tag");
+        for tag in SERVABLE_TAGS {
+            assert!(err.contains(tag), "{err:?} does not name {tag}");
+        }
     }
 
     #[test]

@@ -5,19 +5,6 @@ use lrgcn_tensor::tape::{SharedCsr, Tape, Var};
 use lrgcn_tensor::{par, Matrix};
 use std::rc::Rc;
 
-/// Stacks `layers` LightGCN propagation steps `X^{l+1} = Â X^l` on the tape,
-/// returning `[X^0, X^1, ..., X^L]`.
-pub fn propagate_chain(tape: &mut Tape, adj: &SharedCsr, x0: Var, layers: usize) -> Vec<Var> {
-    let mut out = Vec::with_capacity(layers + 1);
-    out.push(x0);
-    let mut h = x0;
-    for _ in 0..layers {
-        h = tape.spmm(adj, h);
-        out.push(h);
-    }
-    out
-}
-
 /// Mean readout over layer embeddings (LightGCN, Eq. 3 with a mean).
 pub fn mean_readout(tape: &mut Tape, layers: &[Var]) -> Var {
     assert!(!layers.is_empty(), "mean readout of zero layers");
@@ -199,6 +186,7 @@ pub fn grad_sq_norm(g: &Matrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::egogcn::Propagation;
     use lrgcn_graph::Csr;
 
     #[test]
@@ -213,11 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn propagate_chain_depth() {
+    fn light_chain_depth() {
         let adj = SharedCsr::new(Csr::identity(3));
         let mut t = Tape::new();
         let x = t.leaf(Matrix::full(3, 2, 1.5));
-        let layers = propagate_chain(&mut t, &adj, x, 3);
+        let (layers, _) = Propagation::Light.chain(&mut t, &adj, x, 3);
         assert_eq!(layers.len(), 4);
         // Identity adjacency: all layers equal X0.
         for &l in &layers {
@@ -297,7 +285,7 @@ mod tests {
         let shared = SharedCsr::new(adj);
         let mut t = Tape::new();
         let xv = t.leaf(x0);
-        let taped = propagate_chain(&mut t, &shared, xv, 2);
+        let (taped, _) = Propagation::Light.chain(&mut t, &shared, xv, 2);
         for (p, &v) in plain.iter().zip(&taped) {
             assert!(p.approx_eq(t.value(v), 1e-6));
         }

@@ -1,0 +1,803 @@
+//! One ego-table GCN for LayerGCN, LightGCN and LR-GCCF.
+//!
+//! The three models share a learned ego table `X^0` (Xavier init, Adam,
+//! BPR + L2 on the batch's ego rows, Eq. 11–12) propagated `L` times over
+//! the normalized adjacency `Â`. A [`Propagation`] picks the rest:
+//!
+//! | variant | layer step | readout | model |
+//! |---|---|---|---|
+//! | [`Propagation::Light`] | `X^{l+1} = Â X^l` | mean over `0..=L` | LightGCN (Eq. 2) |
+//! | [`Propagation::ResidualConcat`] | `X^{l+1} = Â X^l + X^l` | concat over `0..=L` | LR-GCCF |
+//! | [`Propagation::Refined`] | Eq. 6–8 | sum over `1..=L` (Eq. 9) | LayerGCN |
+//!
+//! LayerGCN (§III-B) rescales each propagated layer per node by its cosine
+//! similarity to the ego layer, `X^{l+1} ← (Sim(X^{l+1}, X^0) + ε) ⊙
+//! X^{l+1}`, and feeds the *refined* layer to the next hop. Each training
+//! epoch propagates over an adjacency `Â_p` pruned by the configured
+//! [`EdgePruner`] (Eq. 5); inference uses the full `Â`.
+//! [`LayerGcnConfig`], [`LightGcnConfig`] and [`LrGccfConfig`] stay the
+//! public way to configure each model.
+
+use crate::common::{
+    bpr_loss, consecutive_smoothness, full_adjacency, grad_sq_norm, mean_readout, mean_row_l2,
+    score_from_final, sum_readout,
+};
+use crate::traits::{EpochStats, ModelDiagnostics, OptimState, Recommender};
+use lrgcn_data::{BprEpoch, Dataset};
+use lrgcn_graph::EdgePruner;
+use lrgcn_tensor::io::IoError;
+use lrgcn_tensor::tape::{SharedCsr, Tape, Var};
+use lrgcn_tensor::{init, Adam, Matrix, Param};
+use rand::rngs::StdRng;
+
+/// The layer step and readout that tell the family's models apart.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Propagation {
+    /// LightGCN: `Â`, mean readout over layers `0..=L`.
+    Light,
+    /// LR-GCCF: `Â + I`, concatenation readout over layers `0..=L`.
+    ResidualConcat,
+    /// LayerGCN: the refinement of Eq. 6–8, sum readout over `1..=L`.
+    Refined {
+        /// ε added to the similarity in Eq. 6 (prevents zero vectors).
+        epsilon: f32,
+        /// ε clamp inside the cosine of Eq. 8.
+        cosine_eps: f32,
+    },
+}
+
+impl Propagation {
+    /// The family tag written into checkpoints (see `crate::checkpoint`).
+    pub fn tag(&self) -> &'static str {
+        match self {
+            Propagation::Light => "lightgcn",
+            Propagation::ResidualConcat => "lrgccf",
+            Propagation::Refined { .. } => "layergcn",
+        }
+    }
+
+    /// Stacks `n_layers` steps on the tape. Returns the chain
+    /// `[X^0, X^1, ..., X^L]` (refined layers for `Refined`) and, for
+    /// `Refined` only, each layer's per-node `Sim(X^l, X^0)` (Eq. 8).
+    pub fn chain(
+        &self,
+        tape: &mut Tape,
+        adj: &SharedCsr,
+        x0: Var,
+        n_layers: usize,
+    ) -> (Vec<Var>, Vec<Var>) {
+        let mut layers = Vec::with_capacity(n_layers + 1);
+        layers.push(x0);
+        let sims = match *self {
+            Propagation::Refined {
+                epsilon,
+                cosine_eps,
+            } => {
+                let (refined, sims) = refined_chain(tape, adj, x0, n_layers, epsilon, cosine_eps);
+                layers.extend(refined);
+                sims
+            }
+            Propagation::Light | Propagation::ResidualConcat => {
+                let mut h = x0;
+                for _ in 0..n_layers {
+                    let prop = tape.spmm(adj, h);
+                    h = match self {
+                        Propagation::ResidualConcat => tape.add(prop, h),
+                        _ => prop,
+                    };
+                    layers.push(h);
+                }
+                Vec::new()
+            }
+        };
+        (layers, sims)
+    }
+
+    /// The final node representation from a [`Propagation::chain`].
+    pub fn readout(&self, tape: &mut Tape, layers: &[Var]) -> Var {
+        match self {
+            Propagation::Light => mean_readout(tape, layers),
+            Propagation::ResidualConcat => tape.concat_cols(layers),
+            Propagation::Refined { .. } => sum_readout(tape, &layers[1..]),
+        }
+    }
+}
+
+/// Builds the refined layer chain on a tape; returns the refined layers
+/// `[X^1', ..., X^L']` (ego excluded) and the per-layer similarity nodes.
+pub fn refined_chain(
+    tape: &mut Tape,
+    adj: &SharedCsr,
+    x0: Var,
+    n_layers: usize,
+    epsilon: f32,
+    cosine_eps: f32,
+) -> (Vec<Var>, Vec<Var>) {
+    let mut layers = Vec::with_capacity(n_layers);
+    let mut sims = Vec::with_capacity(n_layers);
+    let mut h = x0;
+    for _ in 0..n_layers {
+        let prop = tape.spmm(adj, h);
+        let sim = tape.row_cosine(prop, x0, cosine_eps);
+        let sim_eps = tape.add_scalar(sim, epsilon);
+        h = tape.mul_row_broadcast(prop, sim_eps);
+        layers.push(h);
+        sims.push(sim);
+    }
+    (layers, sims)
+}
+
+/// Hyper-parameters of an [`EgoGcn`]; build one from a family config.
+#[derive(Clone, Debug)]
+pub struct EgoGcnConfig {
+    pub embedding_dim: usize,
+    pub n_layers: usize,
+    pub learning_rate: f32,
+    /// L2 coefficient λ of Eq. 12.
+    pub lambda: f32,
+    pub batch_size: usize,
+    /// Per-epoch edge pruning (§III-B1); `None` trains on the full `Â`.
+    pub pruner: EdgePruner,
+    pub propagation: Propagation,
+}
+
+/// Hyper-parameters for [`LayerGcn`].
+#[derive(Clone, Debug)]
+pub struct LayerGcnConfig {
+    pub embedding_dim: usize,
+    /// Fixed at 4 in all of the paper's headline experiments.
+    pub n_layers: usize,
+    pub learning_rate: f32,
+    /// L2 coefficient λ of Eq. 12 (paper tunes in {1e-2 … 1e-5}).
+    pub lambda: f32,
+    pub batch_size: usize,
+    /// Edge pruning policy (§III-B1); ratio tuned in {0.0, 0.1, 0.2}.
+    pub pruner: EdgePruner,
+    /// ε added to the similarity in Eq. 6 (prevents zero vectors).
+    pub epsilon: f32,
+    /// ε clamp inside the cosine of Eq. 8.
+    pub cosine_eps: f32,
+}
+
+impl Default for LayerGcnConfig {
+    fn default() -> Self {
+        Self {
+            embedding_dim: 64,
+            n_layers: 4,
+            learning_rate: 1e-3,
+            lambda: 1e-3,
+            batch_size: 2048,
+            pruner: EdgePruner::DegreeDrop { ratio: 0.1 },
+            epsilon: 1e-8,
+            cosine_eps: 1e-8,
+        }
+    }
+}
+
+impl LayerGcnConfig {
+    /// The "LayerGCN (w/o Dropout)" variant of Table II.
+    pub fn without_dropout() -> Self {
+        Self {
+            pruner: EdgePruner::None,
+            ..Self::default()
+        }
+    }
+}
+
+impl From<LayerGcnConfig> for EgoGcnConfig {
+    fn from(c: LayerGcnConfig) -> Self {
+        Self {
+            embedding_dim: c.embedding_dim,
+            n_layers: c.n_layers,
+            learning_rate: c.learning_rate,
+            lambda: c.lambda,
+            batch_size: c.batch_size,
+            pruner: c.pruner,
+            propagation: Propagation::Refined {
+                epsilon: c.epsilon,
+                cosine_eps: c.cosine_eps,
+            },
+        }
+    }
+}
+
+/// Hyper-parameters for [`LightGcn`] / [`crate::WeightedLightGcn`].
+#[derive(Clone, Debug)]
+pub struct LightGcnConfig {
+    pub embedding_dim: usize,
+    pub n_layers: usize,
+    pub learning_rate: f32,
+    pub lambda: f32,
+    pub batch_size: usize,
+}
+
+impl Default for LightGcnConfig {
+    fn default() -> Self {
+        Self {
+            embedding_dim: 64,
+            n_layers: 4,
+            learning_rate: 1e-3,
+            lambda: 1e-4,
+            batch_size: 2048,
+        }
+    }
+}
+
+impl From<LightGcnConfig> for EgoGcnConfig {
+    fn from(c: LightGcnConfig) -> Self {
+        Self {
+            embedding_dim: c.embedding_dim,
+            n_layers: c.n_layers,
+            learning_rate: c.learning_rate,
+            lambda: c.lambda,
+            batch_size: c.batch_size,
+            pruner: EdgePruner::None,
+            propagation: Propagation::Light,
+        }
+    }
+}
+
+/// Hyper-parameters for [`LrGccf`].
+#[derive(Clone, Debug)]
+pub struct LrGccfConfig {
+    pub embedding_dim: usize,
+    pub n_layers: usize,
+    pub learning_rate: f32,
+    pub lambda: f32,
+    pub batch_size: usize,
+}
+
+impl Default for LrGccfConfig {
+    fn default() -> Self {
+        Self {
+            embedding_dim: 64,
+            n_layers: 3,
+            learning_rate: 1e-3,
+            lambda: 1e-4,
+            batch_size: 2048,
+        }
+    }
+}
+
+impl From<LrGccfConfig> for EgoGcnConfig {
+    fn from(c: LrGccfConfig) -> Self {
+        Self {
+            embedding_dim: c.embedding_dim,
+            n_layers: c.n_layers,
+            learning_rate: c.learning_rate,
+            lambda: c.lambda,
+            batch_size: c.batch_size,
+            pruner: EdgePruner::None,
+            propagation: Propagation::ResidualConcat,
+        }
+    }
+}
+
+/// The layer-refined GCN recommender (the paper's contribution).
+pub type LayerGcn = EgoGcn;
+/// LightGCN: linear propagation with a mean readout.
+pub type LightGcn = EgoGcn;
+/// LR-GCCF: residual propagation with a concatenation readout.
+pub type LrGccf = EgoGcn;
+
+/// An ego embedding table propagated by a [`Propagation`].
+pub struct EgoGcn {
+    cfg: EgoGcnConfig,
+    ego: Param,
+    adam: Adam,
+    /// Full normalized adjacency (inference).
+    adj_full: SharedCsr,
+    /// Cached inference embeddings (users first), refreshed by `refresh`.
+    inference: Option<Matrix>,
+    /// Per-group gradient norms from the most recent epoch (diagnostics).
+    last_grad_groups: Vec<(String, f64)>,
+}
+
+impl EgoGcn {
+    pub fn new(ds: &Dataset, cfg: impl Into<EgoGcnConfig>, rng: &mut StdRng) -> Self {
+        let cfg = cfg.into();
+        cfg.pruner
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid pruner: {e}"));
+        if matches!(cfg.propagation, Propagation::Refined { .. }) {
+            assert!(cfg.n_layers >= 1, "LayerGCN needs at least one layer");
+        }
+        let n = ds.n_users() + ds.n_items();
+        let ego = Param::new(init::xavier_uniform(n, cfg.embedding_dim, rng));
+        let adam = Adam::new(cfg.learning_rate);
+        let adj_full = full_adjacency(ds);
+        Self {
+            cfg,
+            ego,
+            adam,
+            adj_full,
+            inference: None,
+            last_grad_groups: Vec::new(),
+        }
+    }
+
+    /// The family tag this model writes into and accepts from checkpoints.
+    pub fn checkpoint_tag(&self) -> &'static str {
+        self.cfg.propagation.tag()
+    }
+
+    /// One pass of the chain over the full adjacency, without gradients.
+    fn full_chain(&self) -> (Tape, Vec<Var>, Vec<Var>) {
+        let mut tape = Tape::new();
+        let x0 = tape.constant(self.ego.value().clone());
+        let n_layers = self.cfg.n_layers;
+        let (layers, sims) = self.cfg.propagation.chain(&mut tape, &self.adj_full, x0, n_layers);
+        (tape, layers, sims)
+    }
+
+    /// The layer chain `[X^0, X^1, ..., X^L]` under the full adjacency
+    /// (refined layers for LayerGCN), for over-smoothing diagnostics.
+    pub fn layer_chain(&self) -> Vec<Matrix> {
+        let (tape, layers, _) = self.full_chain();
+        layers.iter().map(|&l| tape.value(l).clone()).collect()
+    }
+
+    /// Mean cosine similarity of each refined layer to the ego layer under
+    /// the full adjacency — the quantity plotted in Fig. 5. Empty for the
+    /// unrefined variants.
+    pub fn layer_similarities(&self) -> Vec<f64> {
+        let (tape, _, sims) = self.full_chain();
+        sims.iter().map(|&s| tape.value(s).mean() as f64).collect()
+    }
+
+    /// Final embeddings under the *full* adjacency: the variant's readout,
+    /// as served by the online engine. Computed without gradients.
+    pub fn final_embeddings(&self) -> Matrix {
+        let (mut tape, layers, _) = self.full_chain();
+        let f = self.cfg.propagation.readout(&mut tape, &layers);
+        tape.value(f).clone()
+    }
+
+    /// The ego embedding table (`X^0`).
+    pub fn ego_embeddings(&self) -> &Matrix {
+        self.ego.value()
+    }
+
+    /// Warm-starts this model's ego table from a checkpoint trained on a
+    /// *smaller* universe: user rows `0..old_n_users` and item rows
+    /// `old_n_users..` of `old_ego` are copied into their (shifted)
+    /// positions, and rows for users/items first seen in the stream keep
+    /// their fresh initialization. Used by `lrgcn retrain` to fold the
+    /// event log in without starting from scratch.
+    pub fn warm_start_from(&mut self, old_ego: &Matrix, old_n_users: usize, new_n_users: usize) {
+        let dim = self.ego.value().cols();
+        assert_eq!(old_ego.cols(), dim, "embedding dim changed across retrain");
+        assert!(old_n_users <= old_ego.rows());
+        assert!(old_n_users <= new_n_users);
+        let old_n_items = old_ego.rows() - old_n_users;
+        let new_rows = self.ego.value().rows();
+        assert!(new_n_users + old_n_items <= new_rows, "item table shrank");
+        let mut ego = self.ego.value().clone();
+        for r in 0..old_n_users {
+            ego.row_mut(r).copy_from_slice(old_ego.row(r));
+        }
+        for i in 0..old_n_items {
+            ego.row_mut(new_n_users + i)
+                .copy_from_slice(old_ego.row(old_n_users + i));
+        }
+        self.ego.set_value(ego);
+        self.inference = None;
+    }
+
+    /// Checkpoints the learned parameters (the ego table) to a file,
+    /// tagged with the model family (see `crate::checkpoint`).
+    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), IoError> {
+        crate::checkpoint::save_entries(path, self.checkpoint_tag(), &self.ego_entries())
+    }
+
+    /// Restores parameters saved by [`EgoGcn::save`]. The checkpoint's
+    /// shape must match the current configuration, and a tagged file must
+    /// carry this model's family tag.
+    pub fn load(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), IoError> {
+        let entries = lrgcn_tensor::io::load_checkpoint(path)?;
+        self.load_checkpoint_entries(&entries).map_err(IoError::Corrupt)
+    }
+
+    fn ego_entries(&self) -> Vec<(String, Matrix)> {
+        vec![("ego".into(), self.ego.value().clone())]
+    }
+}
+
+impl Recommender for EgoGcn {
+    fn name(&self) -> String {
+        match self.cfg.propagation {
+            Propagation::Light => format!("LightGCN-{}L", self.cfg.n_layers),
+            Propagation::ResidualConcat => "LR-GCCF".into(),
+            Propagation::Refined { .. } => match self.cfg.pruner {
+                EdgePruner::None => "LayerGCN (w/o Dropout)".into(),
+                EdgePruner::DegreeDrop { .. } => "LayerGCN (Full)".into(),
+                EdgePruner::DropEdge { .. } => "LayerGCN (DropEdge)".into(),
+                EdgePruner::Mixed { .. } => "LayerGCN (Mixed)".into(),
+            },
+        }
+    }
+
+    fn train_epoch(&mut self, ds: &Dataset, epoch: usize, rng: &mut StdRng) -> EpochStats {
+        self.inference = None;
+        // Re-sample the pruned adjacency once per epoch (§III-B1).
+        let adj_epoch = match self.cfg.pruner.sample_edges(ds.train(), epoch, rng) {
+            Some(edges) => SharedCsr::new(ds.train().norm_adjacency_of_edges(&edges)),
+            None => self.adj_full.clone(),
+        };
+        let propagation = self.cfg.propagation;
+        let mut total = 0.0f64;
+        let mut n = 0usize;
+        let mut ego_grad_sq = 0.0f64;
+        let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
+        for batch in batches {
+            let mut tape = Tape::new();
+            let x0 = tape.leaf(self.ego.value().clone());
+            let (layers, _) = propagation.chain(&mut tape, &adj_epoch, x0, self.cfg.n_layers);
+            let final_x = propagation.readout(&mut tape, &layers);
+            let loss = bpr_loss(&mut tape, final_x, x0, ds.n_users(), &batch, self.cfg.lambda);
+            total += tape.scalar(loss) as f64;
+            n += 1;
+            tape.backward(loss);
+            self.adam.begin_step();
+            if let Some(g) = tape.take_grad(x0) {
+                ego_grad_sq += grad_sq_norm(&g);
+                self.adam.update(&mut self.ego, &g);
+            }
+        }
+        self.last_grad_groups = vec![("ego".into(), ego_grad_sq.sqrt())];
+        EpochStats {
+            loss: if n > 0 { total / n as f64 } else { 0.0 },
+            n_batches: n,
+        }
+    }
+
+    fn refresh(&mut self, _ds: &Dataset) {
+        self.inference = Some(self.final_embeddings());
+    }
+
+    fn score_users(&self, ds: &Dataset, users: &[u32]) -> Matrix {
+        let inference = self
+            .inference
+            .as_ref()
+            .expect("refresh() must be called before score_users");
+        score_from_final(inference, ds.n_users(), users)
+    }
+
+    fn n_parameters(&self) -> usize {
+        self.ego.value().len()
+    }
+
+    fn snapshot(&self) -> Option<Vec<Matrix>> {
+        Some(vec![self.ego.value().clone()])
+    }
+
+    fn restore(&mut self, mut params: Vec<Matrix>) {
+        assert_eq!(params.len(), 1, "{} snapshot holds one table", self.name());
+        let ego = params.pop().expect("checked len");
+        assert_eq!(ego.shape(), self.ego.value().shape(), "snapshot shape mismatch");
+        self.ego.set_value(ego);
+        self.inference = None;
+    }
+
+    fn checkpoint_entries(&self) -> Option<Vec<(String, Matrix)>> {
+        Some(self.ego_entries())
+    }
+
+    fn load_checkpoint_entries(&mut self, entries: &[(String, Matrix)]) -> Result<(), String> {
+        // Untagged files predate the family marker and are accepted.
+        if let Some(tag) = crate::checkpoint::model_tag(entries) {
+            if tag != self.checkpoint_tag() {
+                return Err(format!(
+                    "checkpoint is tagged {tag:?} but this model is {:?}",
+                    self.checkpoint_tag()
+                ));
+            }
+        }
+        let ego = crate::checkpoint::require_entry(entries, "ego")?;
+        if ego.shape() != self.ego.value().shape() {
+            return Err(format!(
+                "ego shape {:?} does not match model {:?}",
+                ego.shape(),
+                self.ego.value().shape()
+            ));
+        }
+        self.ego.set_value(ego.clone());
+        self.inference = None;
+        Ok(())
+    }
+
+    fn optim_state(&self) -> Option<OptimState> {
+        Some(OptimState {
+            step: self.adam.steps(),
+            lr: self.adam.lr,
+            moments: vec![(
+                "ego".into(),
+                self.ego.adam_m().clone(),
+                self.ego.adam_v().clone(),
+            )],
+        })
+    }
+
+    fn load_optim_state(&mut self, state: &OptimState) -> Result<(), String> {
+        let (_, m, v) = state
+            .moments
+            .iter()
+            .find(|(n, _, _)| n == "ego")
+            .ok_or_else(|| "optimizer state missing \"ego\" moments".to_string())?;
+        self.ego.set_adam_state(m.clone(), v.clone())?;
+        self.adam.set_steps(state.step);
+        self.adam.lr = state.lr;
+        Ok(())
+    }
+
+    fn set_learning_rate(&mut self, lr: f32) -> bool {
+        self.adam.lr = lr;
+        true
+    }
+
+    fn fold_in_basis(&self, ds: &Dataset) -> Option<crate::foldin::FoldInBasis> {
+        let Propagation::Refined { epsilon, .. } = self.cfg.propagation else {
+            return None;
+        };
+        // One full-adjacency pass gives everything at once: the refined
+        // layers for the prefix sums S = X^0 + Σ_{l=1..L-1} X^l' and the
+        // per-node refinement similarities for the fold-in weights
+        // w̄ = ε + mean_l Sim(X^l, X^0) (Eq. 6–9; see crate::foldin).
+        let (tape, layers, sims) = self.full_chain();
+        let mut prefix = tape.value(layers[0]).clone();
+        for &l in &layers[1..self.cfg.n_layers] {
+            prefix.add_assign(tape.value(l));
+        }
+        let n = prefix.rows();
+        let mut weights = vec![epsilon; n];
+        for &s in &sims {
+            let sv = tape.value(s);
+            for (w, &c) in weights.iter_mut().zip(sv.data()) {
+                *w += c / sims.len() as f32;
+            }
+        }
+        Some(crate::foldin::FoldInBasis::new(
+            prefix,
+            ds.train().node_degrees(),
+            weights,
+            epsilon,
+            ds.n_users(),
+        ))
+    }
+
+    fn diagnostics(&self, _ds: &Dataset) -> Option<ModelDiagnostics> {
+        // One pass over the full adjacency: smoothness probes consecutive
+        // layers of [X^0, X^1, ..., X^L]; layer_weights reports LayerGCN's
+        // per-layer mean cosine-to-ego (the exact quantity of Fig. 5), a
+        // uniform vector for the mean readout, and nothing for the
+        // concatenation readout.
+        let (tape, layers, sims) = self.full_chain();
+        let chain: Vec<Matrix> = layers.iter().map(|&l| tape.value(l).clone()).collect();
+        let n_chain = chain.len();
+        let layer_weights = match self.cfg.propagation {
+            Propagation::Refined { .. } => {
+                sims.iter().map(|&s| tape.value(s).mean() as f64).collect()
+            }
+            Propagation::Light => vec![1.0 / n_chain as f64; n_chain],
+            Propagation::ResidualConcat => Vec::new(),
+        };
+        Some(ModelDiagnostics {
+            smoothness: consecutive_smoothness(&chain),
+            embedding_l2: mean_row_l2(self.ego.value()),
+            grad_norm: ModelDiagnostics::grad_norm_of(&self.last_grad_groups),
+            grad_groups: self.last_grad_groups.clone(),
+            layer_weights,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::common::propagate_matrix;
+    use crate::test_util::{tiny_dataset, train_and_eval};
+    use lrgcn_eval::oversmooth::mean_layer_divergence;
+    use rand::SeedableRng;
+
+    /// Every family member, by the config type its callers use.
+    fn family() -> Vec<(&'static str, EgoGcnConfig)> {
+        vec![
+            ("LayerGCN (w/o Dropout)", LayerGcnConfig::without_dropout().into()),
+            ("LayerGCN (Full)", LayerGcnConfig::default().into()),
+            ("LightGCN", LightGcnConfig::default().into()),
+            ("LR-GCCF", LrGccfConfig::default().into()),
+        ]
+    }
+
+    #[test]
+    fn every_variant_beats_random() {
+        for (label, cfg) in family() {
+            let (r, rand_r) =
+                train_and_eval(|ds, rng| Box::new(EgoGcn::new(ds, cfg.clone(), rng)), 25);
+            assert!(r > 1.5 * rand_r, "{label} R@20 {r} vs random {rand_r}");
+        }
+    }
+
+    #[test]
+    fn every_variant_loss_decreases() {
+        let ds = tiny_dataset(4);
+        for (label, cfg) in family() {
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut m = EgoGcn::new(&ds, cfg, &mut rng);
+            let first = m.train_epoch(&ds, 0, &mut rng).loss;
+            for e in 1..12 {
+                m.train_epoch(&ds, e, &mut rng);
+            }
+            let last = m.train_epoch(&ds, 12, &mut rng).loss;
+            assert!(last < first, "{label}: {first} -> {last}");
+        }
+    }
+
+    #[test]
+    fn final_embeddings_shape_and_finite() {
+        let ds = tiny_dataset(4);
+        let n = ds.n_users() + ds.n_items();
+        for (label, cfg) in family() {
+            // Only the concatenation readout widens the table: (L+1) x T.
+            let width = match cfg.propagation {
+                Propagation::ResidualConcat => (cfg.n_layers + 1) * cfg.embedding_dim,
+                _ => cfg.embedding_dim,
+            };
+            let m = EgoGcn::new(&ds, cfg, &mut StdRng::seed_from_u64(1));
+            let f = m.final_embeddings();
+            assert_eq!(f.shape(), (n, width), "{label}");
+            assert!(!f.has_non_finite(), "{label}");
+        }
+    }
+
+    #[test]
+    fn names_and_tags_follow_the_variant() {
+        let ds = tiny_dataset(4);
+        let mut rng = StdRng::seed_from_u64(1);
+        let tags: Vec<(String, &str)> = family()
+            .into_iter()
+            .map(|(_, cfg)| {
+                let m = EgoGcn::new(&ds, cfg, &mut rng);
+                (m.name(), m.checkpoint_tag())
+            })
+            .collect();
+        let want = [
+            ("LayerGCN (w/o Dropout)", "layergcn"),
+            ("LayerGCN (Full)", "layergcn"),
+            ("LightGCN-4L", "lightgcn"),
+            ("LR-GCCF", "lrgccf"),
+        ];
+        for ((name, tag), (want_name, want_tag)) in tags.iter().zip(want) {
+            assert_eq!((name.as_str(), *tag), (want_name, want_tag));
+        }
+    }
+
+    /// The Light chain is plain `X^{l+1} = Â X^l`, bit for bit what the
+    /// serial matrix propagation computes.
+    #[test]
+    fn light_chain_is_bitwise_the_serial_propagation() {
+        let ds = tiny_dataset(4);
+        let m = EgoGcn::new(&ds, LightGcnConfig::default(), &mut StdRng::seed_from_u64(1));
+        let serial = propagate_matrix(m.adj_full.matrix(), m.ego_embeddings(), 4);
+        let chain = m.layer_chain();
+        assert_eq!(chain.len(), serial.len());
+        for (a, b) in chain.iter().zip(&serial) {
+            let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b));
+        }
+    }
+
+    #[test]
+    fn residual_equals_a_plus_i_propagation() {
+        // E^{l+1} = ÂE + E = (Â + I)E: verify on a tiny graph.
+        let ds = tiny_dataset(4);
+        let cfg = LrGccfConfig {
+            n_layers: 1,
+            ..Default::default()
+        };
+        let m = EgoGcn::new(&ds, cfg, &mut StdRng::seed_from_u64(1));
+        let v = m.final_embeddings();
+        // Width = ego + 1 layer.
+        assert_eq!(v.cols(), 64 * 2);
+        let x0 = m.ego_embeddings();
+        let prop = m.adj_full.matrix().spmm(x0.data(), 64);
+        let manual = Matrix::from_vec(x0.rows(), 64, prop).add(x0);
+        let mut layer1 = Matrix::zeros(v.rows(), 64);
+        for r in 0..v.rows() {
+            layer1.row_mut(r).copy_from_slice(&v.row(r)[64..]);
+        }
+        assert!(layer1.approx_eq(&manual, 1e-5));
+        assert!(m.layer_chain()[1].approx_eq(&manual, 1e-5));
+    }
+
+    #[test]
+    fn layer_similarities_in_range() {
+        let ds = tiny_dataset(4);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut m = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng);
+        for e in 0..5 {
+            m.train_epoch(&ds, e, &mut rng);
+        }
+        let sims = m.layer_similarities();
+        assert_eq!(sims.len(), 4);
+        for s in &sims {
+            assert!((-1.0..=1.0).contains(s), "similarity {s} out of range");
+        }
+        let diag = m.diagnostics(&ds).expect("diagnostics");
+        assert_eq!(diag.layer_weights, sims, "diagnostics report the Fig. 5 similarities");
+        let light = LightGcn::new(&ds, LightGcnConfig::default(), &mut rng);
+        assert!(light.layer_similarities().is_empty());
+    }
+
+    /// Proposition 2 in miniature: the refined layer diverges from the ego
+    /// layer no more than the unrefined propagation does.
+    #[test]
+    fn refinement_reduces_divergence_from_ego() {
+        let ds = tiny_dataset(4);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut m = LayerGcn::new(&ds, LayerGcnConfig::without_dropout(), &mut rng);
+        for e in 0..10 {
+            m.train_epoch(&ds, e, &mut rng);
+        }
+        let ego = m.ego_embeddings().clone();
+        let refined = m.layer_chain();
+        let raw = propagate_matrix(m.adj_full.matrix(), &ego, m.cfg.n_layers);
+        // Compare the refinement of the FIRST hop: refined X^1 vs raw X^1
+        // (identical propagation input, so the Proposition 2 derivation
+        // applies directly).
+        let d_refined = mean_layer_divergence(&refined[1], &ego);
+        let d_raw = mean_layer_divergence(&raw[1], &ego);
+        assert!(
+            d_refined <= d_raw + 1e-6,
+            "refined divergence {d_refined} > raw {d_raw}"
+        );
+    }
+
+    #[test]
+    fn epoch_resamples_pruned_graph_deterministically() {
+        let ds = tiny_dataset(4);
+        let mut rng1 = StdRng::seed_from_u64(1);
+        let mut rng2 = StdRng::seed_from_u64(1);
+        let mut a = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng1);
+        let mut b = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng2);
+        let la = a.train_epoch(&ds, 0, &mut rng1).loss;
+        let lb = b.train_epoch(&ds, 0, &mut rng2).loss;
+        assert_eq!(la, lb, "same seed must give identical epochs");
+    }
+
+    #[test]
+    fn save_load_roundtrip_preserves_scores() {
+        let ds = tiny_dataset(4);
+        for (label, cfg) in family() {
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut m = EgoGcn::new(&ds, cfg.clone(), &mut rng);
+            for e in 0..3 {
+                m.train_epoch(&ds, e, &mut rng);
+            }
+            m.refresh(&ds);
+            let before = m.score_users(&ds, &[0, 1]);
+            let path = std::env::temp_dir().join(format!("lrgcn_egogcn_ckpt_{}.bin", m.checkpoint_tag()));
+            m.save(&path).expect("save");
+            // Fresh model with different init: scores differ, then match after load.
+            let mut m2 = EgoGcn::new(&ds, cfg, &mut StdRng::seed_from_u64(999));
+            m2.refresh(&ds);
+            assert!(!m2.score_users(&ds, &[0, 1]).approx_eq(&before, 1e-6), "{label}");
+            m2.load(&path).expect("load");
+            m2.refresh(&ds);
+            assert!(m2.score_users(&ds, &[0, 1]).approx_eq(&before, 0.0), "{label}");
+            std::fs::remove_file(path).ok();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid pruner")]
+    fn rejects_invalid_ratio() {
+        let ds = tiny_dataset(4);
+        let mut rng = StdRng::seed_from_u64(1);
+        let cfg = LayerGcnConfig {
+            pruner: EdgePruner::DegreeDrop { ratio: 1.5 },
+            ..LayerGcnConfig::default()
+        };
+        let _ = LayerGcn::new(&ds, cfg, &mut rng);
+    }
+}

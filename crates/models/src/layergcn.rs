@@ -1,546 +1,8 @@
-//! LayerGCN — the paper's contribution (§III-B).
+//! LayerGCN — the paper's contribution (§III-B) — under its own path.
 //!
-//! Two mechanisms on top of LightGCN's linear propagation:
-//!
-//! 1. **Layer refinement (Eq. 6–8)**: after each propagation
-//!    `X^{l+1} = Â_p X^l`, the hidden layer is rescaled per node by its
-//!    cosine similarity to the ego layer,
-//!    `X^{l+1} ← (Sim(X^{l+1}, X^0) + ε) ⊙ X^{l+1}`, and the *refined*
-//!    embedding feeds the next propagation. The readout **sums layers
-//!    `1..=L` and drops the ego layer** (Eq. 9).
-//! 2. **Degree-sensitive edge dropout (Eq. 5)**: each training epoch
-//!    propagates over a pruned adjacency `Â_p` sampled by
-//!    [`lrgcn_graph::EdgePruner`]; inference uses the full `Â`.
+//! The model is the [`Propagation::Refined`](crate::egogcn::Propagation)
+//! variant of [`crate::egogcn::EgoGcn`]; this module keeps the
+//! `layergcn::{LayerGcn, LayerGcnConfig, refined_chain}` names that callers
+//! import.
 
-use crate::common::{
-    bpr_loss, consecutive_smoothness, full_adjacency, grad_sq_norm, mean_row_l2,
-    score_from_final, sum_readout,
-};
-use crate::traits::{EpochStats, ModelDiagnostics, OptimState, Recommender};
-use lrgcn_data::{BprEpoch, Dataset};
-use lrgcn_graph::EdgePruner;
-use lrgcn_tensor::tape::{SharedCsr, Tape, Var};
-use lrgcn_tensor::{init, Adam, Matrix, Param};
-use rand::rngs::StdRng;
-
-/// Hyper-parameters for [`LayerGcn`].
-#[derive(Clone, Debug)]
-pub struct LayerGcnConfig {
-    pub embedding_dim: usize,
-    /// Fixed at 4 in all of the paper's headline experiments.
-    pub n_layers: usize,
-    pub learning_rate: f32,
-    /// L2 coefficient λ of Eq. 12 (paper tunes in {1e-2 … 1e-5}).
-    pub lambda: f32,
-    pub batch_size: usize,
-    /// Edge pruning policy (§III-B1); ratio tuned in {0.0, 0.1, 0.2}.
-    pub pruner: EdgePruner,
-    /// ε added to the similarity in Eq. 6 (prevents zero vectors).
-    pub epsilon: f32,
-    /// ε clamp inside the cosine of Eq. 8.
-    pub cosine_eps: f32,
-}
-
-impl Default for LayerGcnConfig {
-    fn default() -> Self {
-        Self {
-            embedding_dim: 64,
-            n_layers: 4,
-            learning_rate: 1e-3,
-            lambda: 1e-3,
-            batch_size: 2048,
-            pruner: EdgePruner::DegreeDrop { ratio: 0.1 },
-            epsilon: 1e-8,
-            cosine_eps: 1e-8,
-        }
-    }
-}
-
-impl LayerGcnConfig {
-    /// The "LayerGCN (w/o Dropout)" variant of Table II.
-    pub fn without_dropout() -> Self {
-        Self {
-            pruner: EdgePruner::None,
-            ..Self::default()
-        }
-    }
-}
-
-/// The layer-refined GCN recommender.
-pub struct LayerGcn {
-    cfg: LayerGcnConfig,
-    ego: Param,
-    adam: Adam,
-    /// Full normalized adjacency (inference).
-    adj_full: SharedCsr,
-    inference: Option<Matrix>,
-    /// Per-group gradient norms from the most recent epoch (diagnostics).
-    last_grad_groups: Vec<(String, f64)>,
-}
-
-/// Builds the refined layer chain on a tape; returns the refined layers
-/// `[X^1', ..., X^L']` (ego excluded) and the per-layer similarity nodes.
-pub fn refined_chain(
-    tape: &mut Tape,
-    adj: &SharedCsr,
-    x0: Var,
-    n_layers: usize,
-    epsilon: f32,
-    cosine_eps: f32,
-) -> (Vec<Var>, Vec<Var>) {
-    let mut layers = Vec::with_capacity(n_layers);
-    let mut sims = Vec::with_capacity(n_layers);
-    let mut h = x0;
-    for _ in 0..n_layers {
-        let prop = tape.spmm(adj, h);
-        let sim = tape.row_cosine(prop, x0, cosine_eps);
-        let sim_eps = tape.add_scalar(sim, epsilon);
-        h = tape.mul_row_broadcast(prop, sim_eps);
-        layers.push(h);
-        sims.push(sim);
-    }
-    (layers, sims)
-}
-
-impl LayerGcn {
-    pub fn new(ds: &Dataset, cfg: LayerGcnConfig, rng: &mut StdRng) -> Self {
-        cfg.pruner
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid pruner: {e}"));
-        assert!(cfg.n_layers >= 1, "LayerGCN needs at least one layer");
-        let n = ds.n_users() + ds.n_items();
-        let ego = Param::new(init::xavier_uniform(n, cfg.embedding_dim, rng));
-        let adam = Adam::new(cfg.learning_rate);
-        let adj_full = full_adjacency(ds);
-        Self {
-            cfg,
-            ego,
-            adam,
-            adj_full,
-            inference: None,
-            last_grad_groups: Vec::new(),
-        }
-    }
-
-    pub fn config(&self) -> &LayerGcnConfig {
-        &self.cfg
-    }
-
-    /// Final embeddings under the *full* adjacency: sum of refined layers
-    /// 1..=L (Eq. 9). Computed without gradients.
-    pub fn final_embeddings(&self) -> Matrix {
-        let mut tape = Tape::new();
-        let x0 = tape.constant(self.ego.value().clone());
-        let (layers, _) = refined_chain(
-            &mut tape,
-            &self.adj_full,
-            x0,
-            self.cfg.n_layers,
-            self.cfg.epsilon,
-            self.cfg.cosine_eps,
-        );
-        let f = sum_readout(&mut tape, &layers);
-        tape.value(f).clone()
-    }
-
-    /// Mean cosine similarity of each refined layer to the ego layer under
-    /// the full adjacency — the quantity plotted in Fig. 5.
-    pub fn layer_similarities(&self) -> Vec<f64> {
-        let mut tape = Tape::new();
-        let x0 = tape.constant(self.ego.value().clone());
-        let (_, sims) = refined_chain(
-            &mut tape,
-            &self.adj_full,
-            x0,
-            self.cfg.n_layers,
-            self.cfg.epsilon,
-            self.cfg.cosine_eps,
-        );
-        sims.iter()
-            .map(|&s| tape.value(s).mean() as f64)
-            .collect()
-    }
-
-    /// The refined layer matrices under the full adjacency (diagnostics).
-    pub fn refined_layers(&self) -> Vec<Matrix> {
-        let mut tape = Tape::new();
-        let x0 = tape.constant(self.ego.value().clone());
-        let (layers, _) = refined_chain(
-            &mut tape,
-            &self.adj_full,
-            x0,
-            self.cfg.n_layers,
-            self.cfg.epsilon,
-            self.cfg.cosine_eps,
-        );
-        layers.iter().map(|&l| tape.value(l).clone()).collect()
-    }
-
-    /// The ego embedding table (`X^0`).
-    pub fn ego_embeddings(&self) -> &Matrix {
-        self.ego.value()
-    }
-
-    /// Warm-starts this model's ego table from a checkpoint trained on a
-    /// *smaller* universe: user rows `0..old_n_users` and item rows
-    /// `old_n_users..` of `old_ego` are copied into their (shifted)
-    /// positions, and rows for users/items first seen in the stream keep
-    /// their fresh initialization. Used by `lrgcn retrain` to fold the
-    /// event log in without starting from scratch.
-    pub fn warm_start_from(&mut self, old_ego: &Matrix, old_n_users: usize, new_n_users: usize) {
-        let dim = self.ego.value().cols();
-        assert_eq!(old_ego.cols(), dim, "embedding dim changed across retrain");
-        assert!(old_n_users <= old_ego.rows());
-        assert!(old_n_users <= new_n_users);
-        let old_n_items = old_ego.rows() - old_n_users;
-        let new_rows = self.ego.value().rows();
-        assert!(new_n_users + old_n_items <= new_rows, "item table shrank");
-        let mut ego = self.ego.value().clone();
-        for r in 0..old_n_users {
-            ego.row_mut(r).copy_from_slice(old_ego.row(r));
-        }
-        for i in 0..old_n_items {
-            ego.row_mut(new_n_users + i)
-                .copy_from_slice(old_ego.row(old_n_users + i));
-        }
-        self.ego.set_value(ego);
-        self.inference = None;
-    }
-
-    /// Checkpoints the learned parameters (the ego table) to a file,
-    /// tagged with the `layergcn` model family (see `crate::checkpoint`).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), lrgcn_tensor::io::IoError> {
-        let tag = format!("{}layergcn", crate::checkpoint::MODEL_TAG_PREFIX);
-        let marker = Matrix::zeros(0, 0);
-        lrgcn_tensor::io::save_checkpoint(
-            path,
-            &[(tag.as_str(), &marker), ("ego", self.ego.value())],
-        )
-    }
-
-    /// Restores parameters saved by [`LayerGcn::save`]. The checkpoint's
-    /// shape must match the current configuration.
-    pub fn load(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), lrgcn_tensor::io::IoError> {
-        let entries = lrgcn_tensor::io::load_checkpoint(path)?;
-        let (_, ego) = entries
-            .into_iter()
-            .find(|(n, _)| n == "ego")
-            .ok_or_else(|| lrgcn_tensor::io::IoError::Corrupt("missing 'ego' entry".into()))?;
-        if ego.shape() != self.ego.value().shape() {
-            return Err(lrgcn_tensor::io::IoError::Corrupt(format!(
-                "ego shape {:?} does not match model {:?}",
-                ego.shape(),
-                self.ego.value().shape()
-            )));
-        }
-        self.ego.set_value(ego);
-        self.inference = None;
-        Ok(())
-    }
-}
-
-impl Recommender for LayerGcn {
-    fn name(&self) -> String {
-        match self.cfg.pruner {
-            EdgePruner::None => "LayerGCN (w/o Dropout)".into(),
-            EdgePruner::DegreeDrop { .. } => "LayerGCN (Full)".into(),
-            EdgePruner::DropEdge { .. } => "LayerGCN (DropEdge)".into(),
-            EdgePruner::Mixed { .. } => "LayerGCN (Mixed)".into(),
-        }
-    }
-
-    fn train_epoch(&mut self, ds: &Dataset, epoch: usize, rng: &mut StdRng) -> EpochStats {
-        self.inference = None;
-        // Re-sample the pruned adjacency once per epoch (§III-B1).
-        let adj_epoch = match self.cfg.pruner.sample_edges(ds.train(), epoch, rng) {
-            Some(edges) => SharedCsr::new(ds.train().norm_adjacency_of_edges(&edges)),
-            None => self.adj_full.clone(),
-        };
-        let mut total = 0.0f64;
-        let mut n = 0usize;
-        let mut ego_grad_sq = 0.0f64;
-        let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
-        for batch in batches {
-            let mut tape = Tape::new();
-            let x0 = tape.leaf(self.ego.value().clone());
-            let (layers, _) = refined_chain(
-                &mut tape,
-                &adj_epoch,
-                x0,
-                self.cfg.n_layers,
-                self.cfg.epsilon,
-                self.cfg.cosine_eps,
-            );
-            let final_x = sum_readout(&mut tape, &layers);
-            let loss = bpr_loss(&mut tape, final_x, x0, ds.n_users(), &batch, self.cfg.lambda);
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(x0) {
-                ego_grad_sq += grad_sq_norm(&g);
-                self.adam.update(&mut self.ego, &g);
-            }
-        }
-        self.last_grad_groups = vec![("ego".into(), ego_grad_sq.sqrt())];
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
-    }
-
-    fn refresh(&mut self, _ds: &Dataset) {
-        self.inference = Some(self.final_embeddings());
-    }
-
-    fn score_users(&self, ds: &Dataset, users: &[u32]) -> Matrix {
-        let inference = self
-            .inference
-            .as_ref()
-            .expect("refresh() must be called before score_users");
-        score_from_final(inference, ds.n_users(), users)
-    }
-
-    fn n_parameters(&self) -> usize {
-        self.ego.value().len()
-    }
-
-    fn snapshot(&self) -> Option<Vec<Matrix>> {
-        Some(vec![self.ego.value().clone()])
-    }
-
-    fn restore(&mut self, mut params: Vec<Matrix>) {
-        assert_eq!(params.len(), 1, "LayerGCN snapshot holds one table");
-        let ego = params.pop().expect("checked len");
-        assert_eq!(ego.shape(), self.ego.value().shape(), "snapshot shape mismatch");
-        self.ego.set_value(ego);
-        self.inference = None;
-    }
-
-    fn checkpoint_entries(&self) -> Option<Vec<(String, Matrix)>> {
-        Some(vec![("ego".into(), self.ego.value().clone())])
-    }
-
-    fn load_checkpoint_entries(&mut self, entries: &[(String, Matrix)]) -> Result<(), String> {
-        let ego = crate::checkpoint::require_entry(entries, "ego")?;
-        if ego.shape() != self.ego.value().shape() {
-            return Err(format!(
-                "ego shape {:?} does not match model {:?}",
-                ego.shape(),
-                self.ego.value().shape()
-            ));
-        }
-        self.ego.set_value(ego.clone());
-        self.inference = None;
-        Ok(())
-    }
-
-    fn optim_state(&self) -> Option<OptimState> {
-        Some(OptimState {
-            step: self.adam.steps(),
-            lr: self.adam.lr,
-            moments: vec![(
-                "ego".into(),
-                self.ego.adam_m().clone(),
-                self.ego.adam_v().clone(),
-            )],
-        })
-    }
-
-    fn load_optim_state(&mut self, state: &OptimState) -> Result<(), String> {
-        let (_, m, v) = state
-            .moments
-            .iter()
-            .find(|(n, _, _)| n == "ego")
-            .ok_or_else(|| "optimizer state missing \"ego\" moments".to_string())?;
-        self.ego.set_adam_state(m.clone(), v.clone())?;
-        self.adam.set_steps(state.step);
-        self.adam.lr = state.lr;
-        Ok(())
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) -> bool {
-        self.adam.lr = lr;
-        true
-    }
-
-    fn fold_in_basis(&self, ds: &Dataset) -> Option<crate::foldin::FoldInBasis> {
-        // One full-adjacency pass gives everything at once: the refined
-        // layers for the prefix sums S = X^0 + Σ_{l=1..L-1} X^l' and the
-        // per-node refinement similarities for the fold-in weights
-        // w̄ = ε + mean_l Sim(X^l, X^0) (Eq. 6–9; see crate::foldin).
-        let mut tape = Tape::new();
-        let x0 = tape.constant(self.ego.value().clone());
-        let (layers, sims) = refined_chain(
-            &mut tape,
-            &self.adj_full,
-            x0,
-            self.cfg.n_layers,
-            self.cfg.epsilon,
-            self.cfg.cosine_eps,
-        );
-        let mut prefix = tape.value(x0).clone();
-        for &l in layers.iter().take(self.cfg.n_layers.saturating_sub(1)) {
-            let lv = tape.value(l);
-            for (p, &v) in prefix.data_mut().iter_mut().zip(lv.data()) {
-                *p += v;
-            }
-        }
-        let n = prefix.rows();
-        let mut weights = vec![self.cfg.epsilon; n];
-        for &s in &sims {
-            let sv = tape.value(s);
-            for (w, &c) in weights.iter_mut().zip(sv.data()) {
-                *w += c / sims.len() as f32;
-            }
-        }
-        Some(crate::foldin::FoldInBasis::new(
-            prefix,
-            ds.train().node_degrees(),
-            weights,
-            self.cfg.epsilon,
-            ds.n_users(),
-        ))
-    }
-
-    fn diagnostics(&self, _ds: &Dataset) -> Option<ModelDiagnostics> {
-        // Chain [X^0, X^1', ..., X^L'] under the full adjacency; smoothness
-        // probes consecutive refined layers, layer_weights reports each
-        // layer's mean cosine-to-ego — the exact quantity of Fig. 5.
-        let mut chain = vec![self.ego.value().clone()];
-        chain.extend(self.refined_layers());
-        Some(ModelDiagnostics {
-            smoothness: consecutive_smoothness(&chain),
-            embedding_l2: mean_row_l2(self.ego.value()),
-            grad_norm: ModelDiagnostics::grad_norm_of(&self.last_grad_groups),
-            grad_groups: self.last_grad_groups.clone(),
-            layer_weights: self.layer_similarities(),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::common::propagate_matrix;
-    use crate::test_util::{tiny_dataset, train_and_eval};
-    use lrgcn_eval::oversmooth::mean_layer_divergence;
-    use rand::SeedableRng;
-
-    #[test]
-    fn beats_random_without_dropout() {
-        let (r, rand_r) = train_and_eval(
-            |ds, rng| Box::new(LayerGcn::new(ds, LayerGcnConfig::without_dropout(), rng)),
-            25,
-        );
-        assert!(r > 1.5 * rand_r, "LayerGCN R@20 {r} vs random {rand_r}");
-    }
-
-    #[test]
-    fn beats_random_with_degreedrop() {
-        let (r, rand_r) = train_and_eval(
-            |ds, rng| Box::new(LayerGcn::new(ds, LayerGcnConfig::default(), rng)),
-            25,
-        );
-        assert!(r > 1.5 * rand_r, "LayerGCN(full) R@20 {r} vs random {rand_r}");
-    }
-
-    #[test]
-    fn loss_decreases() {
-        let ds = tiny_dataset(4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut m = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng);
-        let first = m.train_epoch(&ds, 0, &mut rng).loss;
-        for e in 1..15 {
-            m.train_epoch(&ds, e, &mut rng);
-        }
-        let last = m.train_epoch(&ds, 15, &mut rng).loss;
-        assert!(last < first, "{first} -> {last}");
-    }
-
-    #[test]
-    fn layer_similarities_in_range() {
-        let ds = tiny_dataset(4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut m = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng);
-        for e in 0..5 {
-            m.train_epoch(&ds, e, &mut rng);
-        }
-        let sims = m.layer_similarities();
-        assert_eq!(sims.len(), 4);
-        for s in sims {
-            assert!((-1.0..=1.0).contains(&s), "similarity {s} out of range");
-        }
-    }
-
-    /// Proposition 2 in miniature: the refined layer diverges from the ego
-    /// layer no more than the unrefined propagation does.
-    #[test]
-    fn refinement_reduces_divergence_from_ego() {
-        let ds = tiny_dataset(4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut m = LayerGcn::new(&ds, LayerGcnConfig::without_dropout(), &mut rng);
-        for e in 0..10 {
-            m.train_epoch(&ds, e, &mut rng);
-        }
-        let ego = m.ego_embeddings().clone();
-        let refined = m.refined_layers();
-        let raw = propagate_matrix(m.adj_full.matrix(), &ego, m.cfg.n_layers);
-        // Compare the refinement of the FIRST hop: refined X^1 vs raw X^1
-        // (identical propagation input, so the Proposition 2 derivation
-        // applies directly).
-        let d_refined = mean_layer_divergence(&refined[0], &ego);
-        let d_raw = mean_layer_divergence(&raw[1], &ego);
-        assert!(
-            d_refined <= d_raw + 1e-6,
-            "refined divergence {d_refined} > raw {d_raw}"
-        );
-    }
-
-    #[test]
-    fn epoch_resamples_pruned_graph_deterministically() {
-        let ds = tiny_dataset(4);
-        let mut rng1 = StdRng::seed_from_u64(1);
-        let mut rng2 = StdRng::seed_from_u64(1);
-        let mut a = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng1);
-        let mut b = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng2);
-        let la = a.train_epoch(&ds, 0, &mut rng1).loss;
-        let lb = b.train_epoch(&ds, 0, &mut rng2).loss;
-        assert_eq!(la, lb, "same seed must give identical epochs");
-    }
-
-    #[test]
-    fn save_load_roundtrip_preserves_scores() {
-        let ds = tiny_dataset(4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut m = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng);
-        for e in 0..3 {
-            m.train_epoch(&ds, e, &mut rng);
-        }
-        m.refresh(&ds);
-        let before = m.score_users(&ds, &[0, 1]);
-        let path = std::env::temp_dir().join("lrgcn_layergcn_ckpt_test.bin");
-        m.save(&path).expect("save");
-        // Fresh model with different init: scores differ, then match after load.
-        let mut rng2 = StdRng::seed_from_u64(999);
-        let mut m2 = LayerGcn::new(&ds, LayerGcnConfig::default(), &mut rng2);
-        m2.refresh(&ds);
-        assert!(!m2.score_users(&ds, &[0, 1]).approx_eq(&before, 1e-6));
-        m2.load(&path).expect("load");
-        m2.refresh(&ds);
-        assert!(m2.score_users(&ds, &[0, 1]).approx_eq(&before, 0.0));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid pruner")]
-    fn rejects_invalid_ratio() {
-        let ds = tiny_dataset(4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let cfg = LayerGcnConfig {
-            pruner: EdgePruner::DegreeDrop { ratio: 1.5 },
-            ..LayerGcnConfig::default()
-        };
-        let _ = LayerGcn::new(&ds, cfg, &mut rng);
-    }
-}
+pub use crate::egogcn::{refined_chain, LayerGcn, LayerGcnConfig};

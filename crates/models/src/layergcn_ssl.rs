@@ -17,7 +17,7 @@ use crate::common::{
     bpr_loss, consecutive_smoothness, full_adjacency, grad_sq_norm, mean_row_l2,
     score_from_final, sum_readout,
 };
-use crate::layergcn::refined_chain;
+use crate::egogcn::refined_chain;
 use crate::traits::{EpochStats, ModelDiagnostics, Recommender};
 use lrgcn_data::{BprEpoch, Dataset};
 use lrgcn_graph::EdgePruner;

@@ -6,11 +6,10 @@
 //!
 //! | Module | Model | Paper ref |
 //! |---|---|---|
-//! | [`layergcn`] | **LayerGCN** (the contribution; Full / w/o Dropout / DropEdge / Mixed) | §III-B |
+//! | [`egogcn`] | One ego-table GCN, three [`Propagation`]s: **LayerGCN** (the contribution; Full / w/o Dropout / DropEdge / Mixed), LightGCN and linear-residual LR-GCCF | §III-B, He'20, Chen'20 |
 //! | [`bpr`] | BPR matrix factorization | Rendle'09 |
-//! | [`lightgcn`] | LightGCN + learnable-layer-weight variant (Fig. 1) | He'20 |
+//! | [`lightgcn`] | LightGCN's learnable-layer-weight variant (Fig. 1) | He'20 |
 //! | [`ngcf`] | Neural Graph CF | Wang'19 |
-//! | [`lrgccf`] | Linear-residual graph CF | Chen'20 |
 //! | [`multivae`] | Variational autoencoder CF | Liang'18 |
 //! | [`ehcf`] | Efficient non-sampling CF | Chen'20 |
 //! | [`buir`] | Bootstrapped (negative-free) CF, LightGCN backbone | Lee'21 |
@@ -20,20 +19,21 @@
 //! | [`residual`] | Vanilla GCN / residual GCN / GCNII-style initial residual | §IV-B |
 //! | [`layergcn_ssl`] | LayerGCN + contrastive SSL (extension, §VI) | future work |
 //!
-//! All models implement [`traits::Recommender`].
+//! All models implement [`traits::Recommender`]. [`layergcn`] keeps the
+//! `layergcn::{LayerGcn, LayerGcnConfig, refined_chain}` import path.
 
 pub mod bpr;
 pub mod buir;
 pub mod checkpoint;
 pub mod classic;
-pub mod ehcf;
 pub mod common;
+pub mod egogcn;
+pub mod ehcf;
 pub mod foldin;
 pub mod impgcn;
 pub mod layergcn;
 pub mod layergcn_ssl;
 pub mod lightgcn;
-pub mod lrgccf;
 pub mod multivae;
 pub mod ngcf;
 pub mod registry;
@@ -45,16 +45,18 @@ pub mod ultragcn;
 pub(crate) mod test_util;
 
 pub use bpr::{BprMf, BprMfConfig};
-pub use checkpoint::{model_tag, save_model, MODEL_TAG_PREFIX, SERVABLE_TAGS};
+pub use checkpoint::{model_tag, save_model, servable_config, MODEL_TAG_PREFIX, SERVABLE_TAGS};
 pub use classic::{ItemKnn, ItemKnnConfig, Popularity};
 pub use foldin::FoldInBasis;
 pub use buir::{Buir, BuirConfig};
+pub use egogcn::{
+    EgoGcn, EgoGcnConfig, LayerGcn, LayerGcnConfig, LightGcn, LightGcnConfig, LrGccf,
+    LrGccfConfig, Propagation,
+};
 pub use ehcf::{Ehcf, EhcfConfig};
 pub use impgcn::{ImpGcn, ImpGcnConfig};
-pub use layergcn::{LayerGcn, LayerGcnConfig};
 pub use layergcn_ssl::{LayerGcnSsl, LayerGcnSslConfig};
-pub use lightgcn::{LightGcn, LightGcnConfig, WeightedLightGcn};
-pub use lrgccf::{LrGccf, LrGccfConfig};
+pub use lightgcn::WeightedLightGcn;
 pub use multivae::{MultiVae, MultiVaeConfig};
 pub use ngcf::{Ngcf, NgcfConfig};
 pub use ultragcn::{UltraGcn, UltraGcnConfig};

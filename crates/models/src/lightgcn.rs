@@ -1,210 +1,19 @@
-//! LightGCN (He et al., SIGIR 2020) — Eq. 2 of the paper — plus the
-//! learnable-layer-weight variant used to demonstrate the "solution
-//! collapsing" half of the paper's recommendation dilemma (Fig. 1).
+//! LightGCN with learnable layer weights — the variant used to
+//! demonstrate the "solution collapsing" half of the paper's
+//! recommendation dilemma (Fig. 1). Plain LightGCN (He et al., SIGIR 2020;
+//! Eq. 2 of the paper) is [`crate::egogcn::LightGcn`].
 
 use crate::common::{
-    bpr_loss, consecutive_smoothness, full_adjacency, grad_sq_norm, mean_readout, mean_row_l2,
-    propagate_chain, propagate_matrix, score_from_final,
+    bpr_loss, consecutive_smoothness, full_adjacency, grad_sq_norm, mean_row_l2, propagate_matrix,
+    score_from_final,
 };
-use crate::traits::{EpochStats, ModelDiagnostics, OptimState, Recommender};
+use crate::egogcn::{LightGcnConfig, Propagation};
+use crate::traits::{EpochStats, ModelDiagnostics, Recommender};
 use lrgcn_data::{BprEpoch, Dataset};
 use lrgcn_tensor::tape::SharedCsr;
 use lrgcn_tensor::{init, Adam, Matrix, Param, Tape};
 use rand::rngs::StdRng;
 use std::rc::Rc;
-
-/// Hyper-parameters for [`LightGcn`] / [`WeightedLightGcn`].
-#[derive(Clone, Debug)]
-pub struct LightGcnConfig {
-    pub embedding_dim: usize,
-    pub n_layers: usize,
-    pub learning_rate: f32,
-    pub lambda: f32,
-    pub batch_size: usize,
-}
-
-impl Default for LightGcnConfig {
-    fn default() -> Self {
-        Self {
-            embedding_dim: 64,
-            n_layers: 4,
-            learning_rate: 1e-3,
-            lambda: 1e-4,
-            batch_size: 2048,
-        }
-    }
-}
-
-/// LightGCN: linear propagation `X^{l+1} = Â X^l` with mean readout over
-/// layers `0..=L`.
-pub struct LightGcn {
-    cfg: LightGcnConfig,
-    ego: Param,
-    adam: Adam,
-    adj: SharedCsr,
-    /// Cached inference embeddings (users first), refreshed by `refresh`.
-    inference: Option<Matrix>,
-    /// Per-group gradient norms from the most recent epoch (diagnostics).
-    last_grad_groups: Vec<(String, f64)>,
-}
-
-impl LightGcn {
-    pub fn new(ds: &Dataset, cfg: LightGcnConfig, rng: &mut StdRng) -> Self {
-        let n = ds.n_users() + ds.n_items();
-        let ego = Param::new(init::xavier_uniform(n, cfg.embedding_dim, rng));
-        let adam = Adam::new(cfg.learning_rate);
-        let adj = full_adjacency(ds);
-        Self {
-            cfg,
-            ego,
-            adam,
-            adj,
-            inference: None,
-            last_grad_groups: Vec::new(),
-        }
-    }
-
-    /// The final node embeddings under the full adjacency (mean of layers).
-    pub fn final_embeddings(&self) -> Matrix {
-        let layers = propagate_matrix(self.adj.matrix(), self.ego.value(), self.cfg.n_layers);
-        let mut acc = layers[0].clone();
-        for l in &layers[1..] {
-            acc.add_assign(l);
-        }
-        acc.scale(1.0 / layers.len() as f32);
-        acc
-    }
-
-    /// All propagated layers (for over-smoothing diagnostics).
-    pub fn propagated_layers(&self) -> Vec<Matrix> {
-        propagate_matrix(self.adj.matrix(), self.ego.value(), self.cfg.n_layers)
-    }
-
-    pub fn config(&self) -> &LightGcnConfig {
-        &self.cfg
-    }
-}
-
-impl Recommender for LightGcn {
-    fn name(&self) -> String {
-        format!("LightGCN-{}L", self.cfg.n_layers)
-    }
-
-    fn train_epoch(&mut self, ds: &Dataset, _epoch: usize, rng: &mut StdRng) -> EpochStats {
-        self.inference = None;
-        let mut total = 0.0f64;
-        let mut n = 0usize;
-        let mut ego_grad_sq = 0.0f64;
-        let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
-        for batch in batches {
-            let mut tape = Tape::new();
-            let x0 = tape.leaf(self.ego.value().clone());
-            let layers = propagate_chain(&mut tape, &self.adj, x0, self.cfg.n_layers);
-            let final_x = mean_readout(&mut tape, &layers);
-            let loss = bpr_loss(&mut tape, final_x, x0, ds.n_users(), &batch, self.cfg.lambda);
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(x0) {
-                ego_grad_sq += grad_sq_norm(&g);
-                self.adam.update(&mut self.ego, &g);
-            }
-        }
-        self.last_grad_groups = vec![("ego".into(), ego_grad_sq.sqrt())];
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
-    }
-
-    fn refresh(&mut self, _ds: &Dataset) {
-        self.inference = Some(self.final_embeddings());
-    }
-
-    fn score_users(&self, ds: &Dataset, users: &[u32]) -> Matrix {
-        let inference = self
-            .inference
-            .as_ref()
-            .expect("refresh() must be called before score_users");
-        score_from_final(inference, ds.n_users(), users)
-    }
-
-    fn n_parameters(&self) -> usize {
-        self.ego.value().len()
-    }
-
-    fn snapshot(&self) -> Option<Vec<Matrix>> {
-        Some(vec![self.ego.value().clone()])
-    }
-
-    fn restore(&mut self, mut params: Vec<Matrix>) {
-        assert_eq!(params.len(), 1, "LightGCN snapshot holds one table");
-        let ego = params.pop().expect("checked len");
-        assert_eq!(ego.shape(), self.ego.value().shape(), "snapshot shape mismatch");
-        self.ego.set_value(ego);
-        self.inference = None;
-    }
-
-    fn checkpoint_entries(&self) -> Option<Vec<(String, Matrix)>> {
-        Some(vec![("ego".into(), self.ego.value().clone())])
-    }
-
-    fn load_checkpoint_entries(&mut self, entries: &[(String, Matrix)]) -> Result<(), String> {
-        let ego = crate::checkpoint::require_entry(entries, "ego")?;
-        if ego.shape() != self.ego.value().shape() {
-            return Err(format!(
-                "ego shape {:?} does not match model {:?}",
-                ego.shape(),
-                self.ego.value().shape()
-            ));
-        }
-        self.ego.set_value(ego.clone());
-        self.inference = None;
-        Ok(())
-    }
-
-    fn optim_state(&self) -> Option<OptimState> {
-        Some(OptimState {
-            step: self.adam.steps(),
-            lr: self.adam.lr,
-            moments: vec![(
-                "ego".into(),
-                self.ego.adam_m().clone(),
-                self.ego.adam_v().clone(),
-            )],
-        })
-    }
-
-    fn load_optim_state(&mut self, state: &OptimState) -> Result<(), String> {
-        let (_, m, v) = state
-            .moments
-            .iter()
-            .find(|(n, _, _)| n == "ego")
-            .ok_or_else(|| "optimizer state missing \"ego\" moments".to_string())?;
-        self.ego.set_adam_state(m.clone(), v.clone())?;
-        self.adam.set_steps(state.step);
-        self.adam.lr = state.lr;
-        Ok(())
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) -> bool {
-        self.adam.lr = lr;
-        true
-    }
-
-    fn diagnostics(&self, _ds: &Dataset) -> Option<ModelDiagnostics> {
-        let chain = self.propagated_layers();
-        Some(ModelDiagnostics {
-            smoothness: consecutive_smoothness(&chain),
-            embedding_l2: mean_row_l2(self.ego.value()),
-            grad_norm: ModelDiagnostics::grad_norm_of(&self.last_grad_groups),
-            grad_groups: self.last_grad_groups.clone(),
-            // Mean readout: every layer carries the same weight.
-            layer_weights: vec![1.0 / (self.cfg.n_layers + 1) as f64; self.cfg.n_layers + 1],
-        })
-    }
-}
 
 /// LightGCN with *learnable* softmax weights over layer embeddings.
 ///
@@ -278,7 +87,7 @@ impl Recommender for WeightedLightGcn {
             let mut tape = Tape::new();
             let x0 = tape.leaf(self.ego.value().clone());
             let logits = tape.leaf(self.layer_logits.value().clone());
-            let layers = propagate_chain(&mut tape, &self.adj, x0, self.cfg.n_layers);
+            let (layers, _) = Propagation::Light.chain(&mut tape, &self.adj, x0, self.cfg.n_layers);
             // softmax over the (L+1, 1) logits column.
             let e = tape.exp(logits);
             let z = tape.sum(e);
@@ -352,40 +161,8 @@ impl Recommender for WeightedLightGcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{tiny_dataset, train_and_eval};
+    use crate::test_util::tiny_dataset;
     use rand::SeedableRng;
-
-    #[test]
-    fn beats_random() {
-        let (r, rand_r) = train_and_eval(
-            |ds, rng| Box::new(LightGcn::new(ds, LightGcnConfig::default(), rng)),
-            25,
-        );
-        assert!(r > 1.5 * rand_r, "LightGCN R@20 {r} vs random {rand_r}");
-    }
-
-    #[test]
-    fn loss_decreases() {
-        let ds = tiny_dataset(4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut m = LightGcn::new(&ds, LightGcnConfig::default(), &mut rng);
-        let first = m.train_epoch(&ds, 0, &mut rng).loss;
-        for e in 1..15 {
-            m.train_epoch(&ds, e, &mut rng);
-        }
-        let last = m.train_epoch(&ds, 15, &mut rng).loss;
-        assert!(last < first);
-    }
-
-    #[test]
-    fn final_embeddings_shape_and_finite() {
-        let ds = tiny_dataset(4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let m = LightGcn::new(&ds, LightGcnConfig::default(), &mut rng);
-        let f = m.final_embeddings();
-        assert_eq!(f.shape(), (ds.n_users() + ds.n_items(), 64));
-        assert!(!f.has_non_finite());
-    }
 
     #[test]
     fn weighted_variant_weights_are_simplex() {

@@ -8,10 +8,8 @@ use crate::{
     bpr::{BprMf, BprMfConfig},
     buir::{Buir, BuirConfig},
     ehcf::{Ehcf, EhcfConfig},
+    egogcn::{EgoGcn, EgoGcnConfig, LayerGcnConfig, LightGcnConfig, LrGccfConfig},
     impgcn::{ImpGcn, ImpGcnConfig},
-    layergcn::{LayerGcn, LayerGcnConfig},
-    lightgcn::{LightGcn, LightGcnConfig},
-    lrgccf::{LrGccf, LrGccfConfig},
     multivae::{MultiVae, MultiVaeConfig},
     ngcf::{Ngcf, NgcfConfig},
     traits::Recommender,
@@ -89,18 +87,25 @@ impl ModelKind {
         Some(m)
     }
 
+    /// The [`EgoGcn`] configuration this kind builds, or `None` for the
+    /// models outside the ego-table family.
+    fn ego_config(&self) -> Option<EgoGcnConfig> {
+        match self {
+            ModelKind::LrGccf => Some(LrGccfConfig::default().into()),
+            ModelKind::LightGcn => Some(LightGcnConfig::default().into()),
+            ModelKind::LayerGcnNoDrop => Some(LayerGcnConfig::without_dropout().into()),
+            ModelKind::LayerGcnFull => Some(LayerGcnConfig::default().into()),
+            _ => None,
+        }
+    }
+
     /// The model-family tag this kind writes into tagged checkpoints, or
     /// `None` when the family has no stable checkpoint format. Every
     /// returned value is listed in [`crate::checkpoint::SERVABLE_TAGS`]
     /// (enforced by a test), so "this kind saves" and "serve can load it"
     /// stay the same statement.
     pub fn checkpoint_tag(&self) -> Option<&'static str> {
-        match self {
-            ModelKind::LayerGcnNoDrop | ModelKind::LayerGcnFull => Some("layergcn"),
-            ModelKind::LightGcn => Some("lightgcn"),
-            ModelKind::LrGccf => Some("lrgccf"),
-            _ => None,
-        }
+        self.ego_config().map(|cfg| cfg.propagation.tag())
     }
 
     /// Builds the model with its default hyper-parameters.
@@ -111,15 +116,14 @@ impl ModelKind {
             ModelKind::Ehcf => Box::new(Ehcf::new(ds, EhcfConfig::default(), rng)),
             ModelKind::Buir => Box::new(Buir::new(ds, BuirConfig::default(), rng)),
             ModelKind::Ngcf => Box::new(Ngcf::new(ds, NgcfConfig::default(), rng)),
-            ModelKind::LrGccf => Box::new(LrGccf::new(ds, LrGccfConfig::default(), rng)),
-            ModelKind::LightGcn => Box::new(LightGcn::new(ds, LightGcnConfig::default(), rng)),
             ModelKind::UltraGcn => Box::new(UltraGcn::new(ds, UltraGcnConfig::default(), rng)),
             ModelKind::ImpGcn => Box::new(ImpGcn::new(ds, ImpGcnConfig::default(), rng)),
-            ModelKind::LayerGcnNoDrop => {
-                Box::new(LayerGcn::new(ds, LayerGcnConfig::without_dropout(), rng))
-            }
-            ModelKind::LayerGcnFull => {
-                Box::new(LayerGcn::new(ds, LayerGcnConfig::default(), rng))
+            ModelKind::LrGccf
+            | ModelKind::LightGcn
+            | ModelKind::LayerGcnNoDrop
+            | ModelKind::LayerGcnFull => {
+                let cfg = self.ego_config().expect("an ego-table kind");
+                Box::new(EgoGcn::new(ds, cfg, rng))
             }
         }
     }

@@ -64,12 +64,9 @@ use lrgcn_data::Dataset;
 use lrgcn_models::foldin::FoldInBasis;
 use lrgcn_stream::{EventLog, StreamEvent};
 use lrgcn_eval::{overlap_fraction, rank_order, top_k_indices_into};
-use lrgcn_graph::EdgePruner;
-use lrgcn_models::checkpoint::{model_tag, require_entry, SERVABLE_TAGS};
+use lrgcn_models::checkpoint::{model_tag, require_entry, servable_config};
 use lrgcn_models::common::score_from_final;
-use lrgcn_models::{
-    LayerGcn, LayerGcnConfig, LightGcn, LightGcnConfig, LrGccf, LrGccfConfig, Recommender,
-};
+use lrgcn_models::{EgoGcn, Recommender};
 use lrgcn_obs::window::ReadPath;
 use lrgcn_obs::{registry, Counter, Gauge};
 use lrgcn_tensor::matrix::dot;
@@ -1015,67 +1012,23 @@ fn build_state(
             ds.n_items()
         ));
     }
-    let dim = ego.cols();
-    let want_foldin = opts.events_dir.is_some();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let (model_name, n_parameters, final_emb, foldin) = match tag.as_str() {
-        "layergcn" => {
-            let cfg = LayerGcnConfig {
-                embedding_dim: dim,
-                n_layers: opts.n_layers,
-                pruner: if opts.dropout > 0.0 {
-                    EdgePruner::DegreeDrop {
-                        ratio: opts.dropout,
-                    }
-                } else {
-                    EdgePruner::None
-                },
-                ..LayerGcnConfig::default()
-            };
-            let mut m = LayerGcn::new(&ds, cfg, &mut rng);
-            m.load_checkpoint_entries(&entries)?;
-            let basis = if want_foldin { m.fold_in_basis(&ds) } else { None };
-            (m.name(), m.n_parameters(), m.final_embeddings(), basis)
-        }
-        "lightgcn" => {
-            let cfg = LightGcnConfig {
-                embedding_dim: dim,
-                n_layers: opts.n_layers,
-                ..LightGcnConfig::default()
-            };
-            let mut m = LightGcn::new(&ds, cfg, &mut rng);
-            m.load_checkpoint_entries(&entries)?;
-            let basis = if want_foldin { m.fold_in_basis(&ds) } else { None };
-            (m.name(), m.n_parameters(), m.final_embeddings(), basis)
-        }
-        "lrgccf" => {
-            let cfg = LrGccfConfig {
-                embedding_dim: dim,
-                n_layers: opts.n_layers,
-                ..LrGccfConfig::default()
-            };
-            let mut m = LrGccf::new(&ds, cfg, &mut rng);
-            m.load_checkpoint_entries(&entries)?;
-            let basis = if want_foldin { m.fold_in_basis(&ds) } else { None };
-            (m.name(), m.n_parameters(), m.final_embeddings(), basis)
-        }
-        other => {
-            return Err(format!(
-                "checkpoint is tagged {other:?}, which this server cannot rebuild \
-                 (supported: {})",
-                SERVABLE_TAGS.join(", ")
-            ))
-        }
+    let cfg = servable_config(&tag, ego.cols(), opts.n_layers, opts.dropout)?;
+    let mut m = EgoGcn::new(&ds, cfg, &mut StdRng::seed_from_u64(opts.seed));
+    m.load_checkpoint_entries(&entries)?;
+    let foldin = if opts.events_dir.is_some() {
+        m.fold_in_basis(&ds)
+    } else {
+        None
     };
     let mut state = EngineState::new(
-        model_name,
+        m.name(),
         tag,
         generation,
-        n_parameters,
+        m.n_parameters(),
         ds.clone(),
         covered,
         foldin,
-        final_emb,
+        m.final_embeddings(),
         opts,
     );
     if state.quant_enabled() {
@@ -1199,7 +1152,9 @@ mod zero_class;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrgcn_models::checkpoint::save_model;
+    use lrgcn_graph::EdgePruner;
+    use lrgcn_models::checkpoint::{save_model, SERVABLE_TAGS};
+    use lrgcn_models::{LayerGcn, LayerGcnConfig, LightGcn, LightGcnConfig, LrGccf, LrGccfConfig};
 
     /// 4 users × 6 items, every user trained on `{u, u+1, u+2} mod 6`.
     fn tiny_dataset() -> Arc<Dataset> {

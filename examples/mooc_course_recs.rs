@@ -62,20 +62,14 @@ fn main() {
     let d_layer = mean_edge_distance(ds.train(), &layer.final_embeddings());
     println!("  mean distance between connected nodes (Eq. 15): LightGCN {d_light:.4}, LayerGCN {d_layer:.4}");
 
-    let light_layers = light.propagated_layers();
-    let ego = &light_layers[0];
-    print!("  LightGCN layer divergence from ego (Eq. 17):");
-    for l in &light_layers[1..] {
-        print!(" {:.3}", mean_layer_divergence(l, ego));
+    for (label, model) in [("LightGCN", &light), ("LayerGCN refined", &layer)] {
+        let chain = model.layer_chain();
+        print!("  {label} layer divergence from ego (Eq. 17):");
+        for l in &chain[1..] {
+            print!(" {:.3}", mean_layer_divergence(l, &chain[0]));
+        }
+        println!();
     }
-    println!();
-    let layer_layers = layer.refined_layers();
-    let ego_l = layer.ego_embeddings();
-    print!("  LayerGCN refined-layer divergence from ego: ");
-    for l in &layer_layers {
-        print!(" {:.3}", mean_layer_divergence(l, ego_l));
-    }
-    println!();
     println!("\nLayerGCN's refinement keeps deep layers anchored to the ego representation");
     println!("(Proposition 2) while still integrating high-order signals (Fig. 5).");
 }
