@@ -50,8 +50,8 @@
 //!   array of hierarchical wall-clock spans (run → epoch → phase → kernel)
 //!   loadable in `chrome://tracing` / Perfetto. See `lrgcn_obs::trace`.
 //!
-//! `train --save` checkpoints LayerGCN and LightGCN (tagged with the model
-//! family, see `lrgcn::models::checkpoint`; the remaining baselines train
+//! `train --save` checkpoints LayerGCN, LightGCN and LR-GCCF (tagged with
+//! the model family, see `lrgcn::models::checkpoint`; the remaining baselines train
 //! and report but have no stable checkpoint format). `evaluate`,
 //! `recommend` and `serve` rebuild the dataset with the same flags, so pass
 //! the same `--input`/`--kcore`/`--layers` used at training time; the

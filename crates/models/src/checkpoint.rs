@@ -65,7 +65,7 @@ pub fn servable_config(
 }
 
 /// Writes `entries` to `path` behind the `tag` marker.
-pub fn save_entries(
+pub(crate) fn save_entries(
     path: impl AsRef<std::path::Path>,
     tag: &str,
     entries: &[(String, Matrix)],
