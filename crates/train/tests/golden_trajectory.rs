@@ -6,7 +6,12 @@
 //! probe (LayerGCN: the refinement similarities; LightGCN and LR-GCCF:
 //! `diagnostics().smoothness`) are pinned to constants captured from the
 //! reference build, and so is a 64-bit hash of the bits of every cell of
-//! the final `final_embeddings()` table. Any future kernel rewrite,
+//! the final `final_embeddings()` table. Every other trained model — each
+//! `ModelKind` of Table II, the residual family, the learnable-weight
+//! LightGCN and LayerGCN-SSL — is pinned by its exact per-epoch loss,
+//! validation Recall@20 and a hash of the bits of its `score_users` over
+//! every user, since not every model has `final_embeddings`
+//! ([`SCORE_PINS`]). Any future kernel rewrite,
 //! parallelization change, optimizer tweak or model refactor that silently
 //! perturbs the numerics fails here instead of shipping — the kernels are
 //! contractually bitwise identical across thread counts, so this test
@@ -22,7 +27,9 @@
 use lrgcn_data::{Dataset, SplitRatios, SyntheticConfig};
 use lrgcn_models::traits::{EpochStats, ModelDiagnostics};
 use lrgcn_models::{
-    LayerGcn, LayerGcnConfig, LightGcn, LightGcnConfig, LrGccf, LrGccfConfig, Recommender,
+    LayerGcn, LayerGcnConfig, LayerGcnSsl, LayerGcnSslConfig, LightGcn, LightGcnConfig, LrGccf,
+    LrGccfConfig, ModelKind, Recommender, ResidualFamilyGcn, ResidualGcnConfig, ResidualKind,
+    WeightedLightGcn,
 };
 use lrgcn_tensor::Matrix;
 use lrgcn_train::{train_with_early_stopping, TrainConfig};
@@ -149,6 +156,118 @@ const GOLDEN_LRGCCF_SMOOTHNESS: [[f64; 3]; EPOCHS] = [
 ];
 const GOLDEN_LRGCCF_EMB_HASH: u64 = 0xa0e9de0da7191348;
 
+/// One model's pinned run: the exact per-epoch loss and validation
+/// Recall@20, and the FNV-1a hash of its `score_users` over every user.
+struct ScorePin {
+    model: &'static str,
+    loss: [f64; EPOCHS],
+    recall: [f64; EPOCHS],
+    score_hash: u64,
+}
+
+/// Every model the shared parameter set trains, by the label
+/// [`build_pinned`] knows it under. Captured with `LRGCN_GOLDEN_PRINT=1`;
+/// `{:?}` prints the shortest digits that parse back to the same `f64`, so
+/// these compare with `==`.
+const SCORE_PINS: [ScorePin; 16] = [
+    ScorePin {
+        model: "BPR",
+        loss: [0.6953631639480591, 0.6930577754974365, 0.6901462078094482],
+        recall: [0.6951219512195121, 0.698170731707317, 0.698170731707317],
+        score_hash: 0xc49242a56e987da4,
+    },
+    ScorePin {
+        model: "MultiVAE",
+        loss: [6.204492807388306, 6.065877437591553, 6.023692607879639],
+        recall: [0.6920731707317074, 0.7764227642276424, 0.7926829268292683],
+        score_hash: 0x72ab76893105b653,
+    },
+    ScorePin {
+        model: "EHCF",
+        loss: [0.0038172982167452574, -0.005266718100756407, -0.014302206225693226],
+        recall: [0.698170731707317, 0.698170731707317, 0.6951219512195121],
+        score_hash: 0xa06d670ea8c8b70c,
+    },
+    ScorePin {
+        model: "BUIR",
+        loss: [4.024263858795166, 3.928027868270874, 3.8333442211151123],
+        recall: [0.7520325203252033, 0.7520325203252033, 0.758130081300813],
+        score_hash: 0x890f1184c9271bcf,
+    },
+    ScorePin {
+        model: "NGCF",
+        loss: [0.6042423248291016, 0.5741639137268066, 0.5479458570480347],
+        recall: [0.7378048780487806, 0.7703252032520326, 0.7815040650406505],
+        score_hash: 0xe9f91372f1cc78f2,
+    },
+    ScorePin {
+        model: "LR-GCCF",
+        loss: [0.5266667008399963, 0.5059648156166077, 0.4794028103351593],
+        recall: [0.7825203252032521, 0.7916666666666667, 0.8058943089430896],
+        score_hash: 0x28203079706420e7,
+    },
+    ScorePin {
+        model: "LightGCN",
+        loss: [0.6915701627731323, 0.6913036108016968, 0.6909684538841248],
+        recall: [0.7703252032520326, 0.7764227642276423, 0.7916666666666667],
+        score_hash: 0xe4a1bcfd02f20c12,
+    },
+    ScorePin {
+        model: "UltraGCN",
+        loss: [1.3527239561080933, 1.3475777506828308, 1.3431153297424316],
+        recall: [0.6920731707317073, 0.6920731707317073, 0.698170731707317],
+        score_hash: 0xddfdebb963c67cdf,
+    },
+    ScorePin {
+        model: "IMP-GCN",
+        loss: [0.690296471118927, 0.6898036003112793, 0.6892601847648621],
+        recall: [0.8089430894308944, 0.8079268292682927, 0.8160569105691058],
+        score_hash: 0x24a0c9d9cf80e296,
+    },
+    ScorePin {
+        model: "LayerGCN-w/o",
+        loss: [0.6937850713729858, 0.6937571167945862, 0.6937224864959717],
+        recall: [0.6707317073170732, 0.6565040650406504, 0.6849593495934959],
+        score_hash: 0xe95e21a7f49a3e36,
+    },
+    ScorePin {
+        model: "LayerGCN-Full",
+        loss: [0.6937846541404724, 0.6937532424926758, 0.6937218904495239],
+        recall: [0.6758130081300813, 0.6646341463414634, 0.681910569105691],
+        score_hash: 0x0c7d9f90dda437a0,
+    },
+    ScorePin {
+        model: "GCN (vanilla)",
+        loss: [0.6931630969047546, 0.6930935382843018, 0.6929838061332703],
+        recall: [0.7306910569105691, 0.7347560975609756, 0.75],
+        score_hash: 0x8618439b19845d81,
+    },
+    ScorePin {
+        model: "GCN+residual",
+        loss: [0.6190013885498047, 0.6087083220481873, 0.5957270264625549],
+        recall: [0.7947154471544716, 0.7997967479674798, 0.8201219512195121],
+        score_hash: 0xa3a918ea753109c6,
+    },
+    ScorePin {
+        model: "GCNII-style",
+        loss: [0.6912256479263306, 0.6909061074256897, 0.6905049681663513],
+        recall: [0.7560975609756099, 0.7703252032520326, 0.7703252032520326],
+        score_hash: 0x5316542c7f6e7291,
+    },
+    ScorePin {
+        model: "LightGCN-learnable",
+        loss: [0.6915701627731323, 0.6913017630577087, 0.6909652352333069],
+        recall: [0.7703252032520326, 0.7764227642276423, 0.7916666666666667],
+        score_hash: 0xa75386615eb3d105,
+    },
+    ScorePin {
+        model: "LayerGCN-SSL",
+        loss: [0.6937856078147888, 0.8612948656082153, 0.8371487855911255],
+        recall: [0.6788617886178863, 0.6270325203252032, 0.6443089430894309],
+        score_hash: 0x5814de40317eb4c2,
+    },
+];
+
 /// One seeded run: per-epoch loss, validation recall, the history's
 /// per-layer values, each epoch's `diagnostics().smoothness`, and the hash
 /// of the final embedding table.
@@ -163,12 +282,12 @@ struct Trajectory {
 
 /// Forwards to the wrapped model and keeps every diagnostics probe the
 /// trainer takes, so one run yields each epoch's smoothness.
-struct Probe<M> {
-    inner: M,
+struct Probe<M: ?Sized> {
     smoothness: Mutex<Vec<Vec<f64>>>,
+    inner: Box<M>,
 }
 
-impl<M: Recommender> Recommender for Probe<M> {
+impl<M: Recommender + ?Sized> Recommender for Probe<M> {
     fn name(&self) -> String {
         self.inner.name()
     }
@@ -203,9 +322,11 @@ fn bits_hash(m: &Matrix) -> u64 {
     h
 }
 
-fn run_family<M: Recommender>(
-    build: impl FnOnce(&Dataset, &mut StdRng) -> M,
-    final_embeddings: impl Fn(&M) -> Matrix,
+/// Trains one model for [`EPOCHS`] and hashes the table `hashed` reads
+/// from it afterwards.
+fn run_family<M: Recommender + ?Sized>(
+    build: impl FnOnce(&Dataset, &mut StdRng) -> Box<M>,
+    hashed: impl FnOnce(&mut M, &Dataset) -> Matrix,
 ) -> Trajectory {
     let log = SyntheticConfig::mooc().scaled(0.25).generate(11);
     let ds = Dataset::chronological_split("mooc-golden", &log, SplitRatios::default());
@@ -238,28 +359,86 @@ fn run_family<M: Recommender>(
         recalls,
         layer_values,
         smoothness: model.smoothness.into_inner().unwrap(),
-        emb_hash: bits_hash(&final_embeddings(&model.inner)),
+        emb_hash: bits_hash(&hashed(&mut model.inner, &ds)),
     }
 }
 
 fn layergcn_run() -> Trajectory {
     run_family(
-        |ds, rng| LayerGcn::new(ds, LayerGcnConfig::default(), rng),
-        |m| m.final_embeddings(),
+        |ds, rng| Box::new(LayerGcn::new(ds, LayerGcnConfig::default(), rng)),
+        |m, _| m.final_embeddings(),
     )
 }
 
 fn lightgcn_run() -> Trajectory {
     run_family(
-        |ds, rng| LightGcn::new(ds, LightGcnConfig::default(), rng),
-        |m| m.final_embeddings(),
+        |ds, rng| Box::new(LightGcn::new(ds, LightGcnConfig::default(), rng)),
+        |m, _| m.final_embeddings(),
     )
 }
 
 fn lrgccf_run() -> Trajectory {
     run_family(
-        |ds, rng| LrGccf::new(ds, LrGccfConfig::default(), rng),
-        |m| m.final_embeddings(),
+        |ds, rng| Box::new(LrGccf::new(ds, LrGccfConfig::default(), rng)),
+        |m, _| m.final_embeddings(),
+    )
+}
+
+/// LayerGCN-SSL with its contrastive term on from the second epoch, so
+/// the pinned run covers the two-view InfoNCE path, not only the warm-up.
+fn pinned_ssl_config() -> LayerGcnSslConfig {
+    LayerGcnSslConfig {
+        warmup_epochs: 1,
+        ..LayerGcnSslConfig::default()
+    }
+}
+
+/// Builds the model a [`SCORE_PINS`] label names: a `ModelKind` by its
+/// Table II label, or one of the models outside the registry.
+fn build_pinned(label: &str, ds: &Dataset, rng: &mut StdRng) -> Box<dyn Recommender> {
+    if let Some(kind) = ModelKind::all().into_iter().find(|k| k.label() == label) {
+        return kind.build(ds, rng);
+    }
+    let residual = |kind| ResidualGcnConfig {
+        kind,
+        ..ResidualGcnConfig::default()
+    };
+    match label {
+        "GCN (vanilla)" => Box::new(ResidualFamilyGcn::new(ds, residual(ResidualKind::Vanilla), rng)),
+        "GCN+residual" => Box::new(ResidualFamilyGcn::new(ds, residual(ResidualKind::Residual), rng)),
+        "GCNII-style" => Box::new(ResidualFamilyGcn::new(
+            ds,
+            residual(ResidualKind::InitialResidual { alpha: 0.1 }),
+            rng,
+        )),
+        "LightGCN-learnable" => Box::new(WeightedLightGcn::new(ds, LightGcnConfig::default(), rng)),
+        "LayerGCN-SSL" => Box::new(LayerGcnSsl::new(ds, pinned_ssl_config(), rng)),
+        other => panic!("no pinned model is labelled {other:?}"),
+    }
+}
+
+/// Every label [`build_pinned`] builds, in table order.
+fn pinned_labels() -> Vec<&'static str> {
+    let mut labels: Vec<&'static str> = ModelKind::all().iter().map(|k| k.label()).collect();
+    labels.extend([
+        "GCN (vanilla)",
+        "GCN+residual",
+        "GCNII-style",
+        "LightGCN-learnable",
+        "LayerGCN-SSL",
+    ]);
+    labels
+}
+
+/// One pinned run, hashing `score_users` over every user after a refresh.
+fn scored_run(label: &str) -> Trajectory {
+    run_family(
+        |ds, rng| build_pinned(label, ds, rng),
+        |m, ds| {
+            m.refresh(ds);
+            let users: Vec<u32> = (0..ds.n_users() as u32).collect();
+            m.score_users(ds, &users)
+        },
     )
 }
 
@@ -396,5 +575,47 @@ fn trajectory_is_reproducible_within_one_build() {
     // flake.
     for run in [layergcn_run, lightgcn_run, lrgccf_run] {
         assert_eq!(run(), run(), "a family's run varied across identical runs");
+    }
+}
+
+#[test]
+fn every_trained_model_matches_its_pinned_scores() {
+    if printing() {
+        for label in pinned_labels() {
+            let t = scored_run(label);
+            println!("    ScorePin {{");
+            println!("        model: {label:?},");
+            println!("        loss: {:?},", t.losses);
+            println!("        recall: {:?},", t.recalls);
+            println!("        score_hash: {:#018x},", t.emb_hash);
+            println!("    }},");
+        }
+        return;
+    }
+    let labels: Vec<&str> = SCORE_PINS.iter().map(|p| p.model).collect();
+    assert_eq!(labels, pinned_labels(), "one pin per trained model, in order");
+    let mut failures = Vec::new();
+    for pin in &SCORE_PINS {
+        let t = scored_run(pin.model);
+        if t.losses != pin.loss {
+            failures.push(format!("{}: loss {:?} != golden {:?}", pin.model, t.losses, pin.loss));
+        }
+        if t.recalls != pin.recall {
+            failures.push(format!(
+                "{}: recall@20 {:?} != golden {:?}",
+                pin.model, t.recalls, pin.recall
+            ));
+        }
+        if t.emb_hash != pin.score_hash {
+            failures.push(format!(
+                "{}: score hash {:#018x} != golden {:#018x}",
+                pin.model, t.emb_hash, pin.score_hash
+            ));
+        }
+    }
+    if !failures.is_empty() {
+        // Same tripwire word as `check_run`, for scripts/verify.sh.
+        eprintln!("numeric drift detected:\n  {}", failures.join("\n  "));
+        panic!("{} pinned score deviations", failures.len());
     }
 }

@@ -53,8 +53,8 @@
 #      nonzero, a malformed x-lrgcn-deadline-ms must answer 400, and the
 #      degradation level must read 0 again after the burst
 #  12. results drift gate: re-run the quick paper experiments (exp_table2,
-#      exp_table3, exp_fig1, exp_fig5, exp_fig6, exp_residual at --scale
-#      0.25 --epochs 5), strip the wall-clock "(N.Ns)" column and diff each
+#      exp_table3, exp_fig1, exp_fig5, exp_fig6, exp_residual, exp_ssl at
+#      --scale 0.25 --epochs 5), strip the wall-clock "(N.Ns)" column and diff each
 #      against its committed copy in results/quick/ — any byte of drift in
 #      a table the paper reproduction prints fails the stage
 #  13. the repo's benchmark (BENCHMARK.json): `benchmark/repeat.sh --quick`
@@ -491,7 +491,7 @@ echo "==> results drift gate: quick exp_* outputs vs results/quick/"
 # To refresh after an intentional change, rerun the loop body with
 # `> "results/quick/$exp.txt"` in place of the diff.
 cargo build --release -q -p lrgcn-bench
-for exp in exp_table2 exp_table3 exp_fig1 exp_fig5 exp_fig6 exp_residual; do
+for exp in exp_table2 exp_table3 exp_fig1 exp_fig5 exp_fig6 exp_residual exp_ssl; do
     "./target/release/$exp" --scale 0.25 --epochs 5 2>/dev/null \
         | sed -E 's/\([0-9.]+s\)//g' >"$smoke/$exp.txt" \
         || { echo "verify: $exp failed"; exit 1; }
