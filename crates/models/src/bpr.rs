@@ -1,11 +1,16 @@
 //! BPR-MF — matrix factorization with the Bayesian Personalized Ranking
 //! loss (Rendle et al., UAI 2009). The paper's first baseline.
 
+use crate::params::Params;
 use crate::traits::{EpochStats, Recommender};
 use lrgcn_data::{BprEpoch, Dataset};
-use lrgcn_tensor::{init, Adam, Matrix, Param, Tape};
+use lrgcn_tensor::{init, Matrix, Tape};
 use rand::rngs::StdRng;
 use std::rc::Rc;
+
+/// Parameter groups: the user and the item factor tables.
+const USER: usize = 0;
+const ITEM: usize = 1;
 
 /// Hyper-parameters for [`BprMf`].
 #[derive(Clone, Debug)]
@@ -31,32 +36,25 @@ impl Default for BprMfConfig {
 /// Matrix factorization trained with BPR.
 pub struct BprMf {
     cfg: BprMfConfig,
-    user_emb: Param,
-    item_emb: Param,
-    adam: Adam,
+    params: Params,
 }
 
 impl BprMf {
     pub fn new(ds: &Dataset, cfg: BprMfConfig, rng: &mut StdRng) -> Self {
-        let user_emb = Param::new(init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng));
-        let item_emb = Param::new(init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng));
-        let adam = Adam::new(cfg.learning_rate);
-        Self {
-            cfg,
-            user_emb,
-            item_emb,
-            adam,
-        }
+        let params = Params::new(cfg.learning_rate)
+            .with("user", init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng))
+            .with("item", init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng));
+        Self { cfg, params }
     }
 
     /// Read-only view of the learned user factors.
     pub fn user_factors(&self) -> &Matrix {
-        self.user_emb.value()
+        self.params.value(USER)
     }
 
     /// Read-only view of the learned item factors.
     pub fn item_factors(&self) -> &Matrix {
-        self.item_emb.value()
+        self.params.value(ITEM)
     }
 }
 
@@ -66,16 +64,13 @@ impl Recommender for BprMf {
     }
 
     fn train_epoch(&mut self, ds: &Dataset, _epoch: usize, rng: &mut StdRng) -> EpochStats {
-        let mut total = 0.0f64;
-        let mut n = 0usize;
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
         for batch in batches {
             let mut tape = Tape::new();
-            let p = tape.leaf(self.user_emb.value().clone());
-            let q = tape.leaf(self.item_emb.value().clone());
-            let u = tape.gather(p, Rc::new(batch.users.clone()));
-            let i = tape.gather(q, Rc::new(batch.pos_items.clone()));
-            let j = tape.gather(q, Rc::new(batch.neg_items.clone()));
+            let on = self.params.leaves(&mut tape);
+            let u = tape.gather(on[USER], Rc::new(batch.users.clone()));
+            let i = tape.gather(on[ITEM], Rc::new(batch.pos_items.clone()));
+            let j = tape.gather(on[ITEM], Rc::new(batch.neg_items.clone()));
             let pos = tape.row_dot(u, i);
             let neg = tape.row_dot(u, j);
             let diff = tape.sub(neg, pos);
@@ -88,48 +83,29 @@ impl Recommender for BprMf {
             let r2 = tape.add(r1, rj);
             let reg = tape.mul_scalar(r2, self.cfg.lambda / batch.len().max(1) as f32);
             let loss = tape.add(bpr, reg);
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(p) {
-                self.adam.update(&mut self.user_emb, &g);
-            }
-            if let Some(g) = tape.take_grad(q) {
-                self.adam.update(&mut self.item_emb, &g);
-            }
+            self.params.step(&mut tape, loss, &on);
         }
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
+        self.params.end_epoch()
     }
 
     fn refresh(&mut self, _ds: &Dataset) {}
 
     fn score_users(&self, _ds: &Dataset, users: &[u32]) -> Matrix {
-        self.user_emb
-            .value()
+        self.user_factors()
             .gather_rows(users)
-            .matmul_nt(self.item_emb.value())
+            .matmul_nt(self.item_factors())
     }
 
     fn n_parameters(&self) -> usize {
-        self.user_emb.value().len() + self.item_emb.value().len()
+        self.params.n_parameters()
     }
 
     fn snapshot(&self) -> Option<Vec<Matrix>> {
-        Some(vec![self.user_emb.value().clone(), self.item_emb.value().clone()])
+        Some(self.params.snapshot())
     }
 
-    fn restore(&mut self, mut params: Vec<Matrix>) {
-        assert_eq!(params.len(), 2, "BPR snapshot holds two tables");
-        let items = params.pop().expect("checked len");
-        let users = params.pop().expect("checked len");
-        assert_eq!(users.shape(), self.user_emb.value().shape());
-        assert_eq!(items.shape(), self.item_emb.value().shape());
-        self.user_emb.set_value(users);
-        self.item_emb.set_value(items);
+    fn restore(&mut self, values: Vec<Matrix>) {
+        self.params.restore(values)
     }
 }
 

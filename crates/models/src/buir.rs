@@ -13,13 +13,19 @@
 //! `r̂_ui = pred(o_u) · t_i + t_u · pred(o_i)`.
 
 use crate::common::{full_adjacency, propagate_matrix, split_user_item};
+use crate::params::Params;
 use crate::traits::{EpochStats, Recommender};
 use lrgcn_data::{BprEpoch, Dataset};
 use lrgcn_tensor::optim::ema_update;
 use lrgcn_tensor::tape::SharedCsr;
-use lrgcn_tensor::{init, Adam, Matrix, Param, Tape};
+use lrgcn_tensor::{init, Matrix, Tape};
 use rand::rngs::StdRng;
 use std::rc::Rc;
+
+/// Parameter groups: the online table and the linear predictor.
+const ONLINE: usize = 0;
+const PREDICTOR_W: usize = 1;
+const PREDICTOR_B: usize = 2;
 
 /// Hyper-parameters for [`Buir`].
 #[derive(Clone, Debug)]
@@ -48,12 +54,9 @@ impl Default for BuirConfig {
 /// The BUIR recommender (LightGCN backbone).
 pub struct Buir {
     cfg: BuirConfig,
-    online: Param,
-    predictor_w: Param,
-    predictor_b: Param,
+    params: Params,
     /// Target embedding table, EMA of `online` (never receives gradients).
     target: Matrix,
-    adam: Adam,
     adj: SharedCsr,
     /// Cached `(pred(online), target)` propagated embeddings for scoring.
     inference: Option<(Matrix, Matrix)>,
@@ -66,19 +69,17 @@ impl Buir {
             "momentum must be in [0, 1]"
         );
         let n = ds.n_users() + ds.n_items();
-        let online = Param::new(init::xavier_uniform(n, cfg.embedding_dim, rng));
-        let target = online.value().clone();
-        let predictor_w = Param::new(init::xavier_uniform(cfg.embedding_dim, cfg.embedding_dim, rng));
-        let predictor_b = Param::new(Matrix::zeros(1, cfg.embedding_dim));
-        let adam = Adam::new(cfg.learning_rate);
+        let online = init::xavier_uniform(n, cfg.embedding_dim, rng);
+        let target = online.clone();
+        let params = Params::new(cfg.learning_rate)
+            .with("online", online)
+            .with("predictor_w", init::xavier_uniform(cfg.embedding_dim, cfg.embedding_dim, rng))
+            .with("predictor_b", Matrix::zeros(1, cfg.embedding_dim));
         let adj = full_adjacency(ds);
         Self {
             cfg,
-            online,
-            predictor_w,
-            predictor_b,
+            params,
             target,
-            adam,
             adj,
             inference: None,
         }
@@ -97,8 +98,8 @@ impl Buir {
 
     /// Applies the linear predictor with plain matrix math.
     fn predict(&self, x: &Matrix) -> Matrix {
-        let mut out = x.matmul(self.predictor_w.value());
-        let b = self.predictor_b.value();
+        let mut out = x.matmul(self.params.value(PREDICTOR_W));
+        let b = self.params.value(PREDICTOR_B);
         for r in 0..out.rows() {
             for (o, &bb) in out.row_mut(r).iter_mut().zip(b.row(0)) {
                 *o += bb;
@@ -117,8 +118,6 @@ impl Recommender for Buir {
         self.inference = None;
         // Target encoding is constant within the epoch's batches except for
         // the EMA updates after each step; encode per batch for fidelity.
-        let mut total = 0.0f64;
-        let mut n = 0usize;
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
         let off = ds.n_users() as u32;
         for batch in batches {
@@ -128,9 +127,8 @@ impl Recommender for Buir {
             let b = batch.len().max(1) as f32;
 
             let mut tape = Tape::new();
-            let x = tape.leaf(self.online.value().clone());
-            let w = tape.leaf(self.predictor_w.value().clone());
-            let bias = tape.leaf(self.predictor_b.value().clone());
+            let on = self.params.leaves(&mut tape);
+            let (x, w, bias) = (on[ONLINE], on[PREDICTOR_W], on[PREDICTOR_B]);
             // Online LightGCN encoding on the tape.
             let light = crate::egogcn::Propagation::Light;
             let (layers, _) = light.chain(&mut tape, &self.adj, x, self.cfg.n_layers);
@@ -154,30 +152,15 @@ impl Recommender for Buir {
             let l2 = tape.sq_frobenius(d2);
             let lsum = tape.add(l1, l2);
             let loss = tape.mul_scalar(lsum, 1.0 / b);
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(x) {
-                self.adam.update(&mut self.online, &g);
-            }
-            if let Some(g) = tape.take_grad(w) {
-                self.adam.update(&mut self.predictor_w, &g);
-            }
-            if let Some(g) = tape.take_grad(bias) {
-                self.adam.update(&mut self.predictor_b, &g);
-            }
+            self.params.step(&mut tape, loss, &on);
             // EMA target update after each optimization step.
-            ema_update(&mut self.target, self.online.value(), self.cfg.momentum);
+            ema_update(&mut self.target, self.params.value(ONLINE), self.cfg.momentum);
         }
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
+        self.params.end_epoch()
     }
 
     fn refresh(&mut self, _ds: &Dataset) {
-        let o = self.encode(self.online.value());
+        let o = self.encode(self.params.value(ONLINE));
         let pred_o = self.predict(&o);
         let t = self.encode(&self.target);
         self.inference = Some((pred_o, t));
@@ -198,9 +181,7 @@ impl Recommender for Buir {
     }
 
     fn n_parameters(&self) -> usize {
-        self.online.value().len()
-            + self.predictor_w.value().len()
-            + self.predictor_b.value().len()
+        self.params.n_parameters()
     }
 }
 
@@ -226,7 +207,7 @@ mod tests {
         let mut m = Buir::new(&ds, BuirConfig::default(), &mut rng);
         let t0 = m.target.clone();
         m.train_epoch(&ds, 0, &mut rng);
-        let online_moved = m.online.value().sub(&t0).max_abs();
+        let online_moved = m.params.value(ONLINE).sub(&t0).max_abs();
         let target_moved = m.target.sub(&t0).max_abs();
         assert!(online_moved > 0.0, "online never moved");
         assert!(target_moved > 0.0, "target never moved");

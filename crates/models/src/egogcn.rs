@@ -19,16 +19,19 @@
 //! public way to configure each model.
 
 use crate::common::{
-    bpr_loss, consecutive_smoothness, full_adjacency, grad_sq_norm, mean_readout, mean_row_l2,
-    score_from_final, sum_readout,
+    bpr_loss, consecutive_smoothness, full_adjacency, mean_readout, score_from_final, sum_readout,
 };
+use crate::params::Params;
 use crate::traits::{EpochStats, ModelDiagnostics, OptimState, Recommender};
 use lrgcn_data::{BprEpoch, Dataset};
 use lrgcn_graph::EdgePruner;
 use lrgcn_tensor::io::IoError;
 use lrgcn_tensor::tape::{SharedCsr, Tape, Var};
-use lrgcn_tensor::{init, Adam, Matrix, Param};
+use lrgcn_tensor::{init, Matrix};
 use rand::rngs::StdRng;
+
+/// The ego table `X^0`, the one parameter group.
+const EGO: usize = 0;
 
 /// The layer step and readout that tell the family's models apart.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -283,14 +286,12 @@ pub type LrGccf = EgoGcn;
 /// An ego embedding table propagated by a [`Propagation`].
 pub struct EgoGcn {
     cfg: EgoGcnConfig,
-    ego: Param,
-    adam: Adam,
+    /// The ego table, entry `"ego"`.
+    params: Params,
     /// Full normalized adjacency (inference).
     adj_full: SharedCsr,
     /// Cached inference embeddings (users first), refreshed by `refresh`.
     inference: Option<Matrix>,
-    /// Per-group gradient norms from the most recent epoch (diagnostics).
-    last_grad_groups: Vec<(String, f64)>,
 }
 
 impl EgoGcn {
@@ -303,16 +304,14 @@ impl EgoGcn {
             assert!(cfg.n_layers >= 1, "LayerGCN needs at least one layer");
         }
         let n = ds.n_users() + ds.n_items();
-        let ego = Param::new(init::xavier_uniform(n, cfg.embedding_dim, rng));
-        let adam = Adam::new(cfg.learning_rate);
+        let ego = init::xavier_uniform(n, cfg.embedding_dim, rng);
+        let params = Params::new(cfg.learning_rate).with("ego", ego);
         let adj_full = full_adjacency(ds);
         Self {
             cfg,
-            ego,
-            adam,
+            params,
             adj_full,
             inference: None,
-            last_grad_groups: Vec::new(),
         }
     }
 
@@ -324,7 +323,7 @@ impl EgoGcn {
     /// One pass of the chain over the full adjacency, without gradients.
     fn full_chain(&self) -> (Tape, Vec<Var>, Vec<Var>) {
         let mut tape = Tape::new();
-        let x0 = tape.constant(self.ego.value().clone());
+        let x0 = tape.constant(self.ego_embeddings().clone());
         let n_layers = self.cfg.n_layers;
         let (layers, sims) = self.cfg.propagation.chain(&mut tape, &self.adj_full, x0, n_layers);
         (tape, layers, sims)
@@ -355,7 +354,7 @@ impl EgoGcn {
 
     /// The ego embedding table (`X^0`).
     pub fn ego_embeddings(&self) -> &Matrix {
-        self.ego.value()
+        self.params.value(EGO)
     }
 
     /// Warm-starts this model's ego table from a checkpoint trained on a
@@ -365,14 +364,14 @@ impl EgoGcn {
     /// their fresh initialization. Used by `lrgcn retrain` to fold the
     /// event log in without starting from scratch.
     pub fn warm_start_from(&mut self, old_ego: &Matrix, old_n_users: usize, new_n_users: usize) {
-        let dim = self.ego.value().cols();
+        let dim = self.ego_embeddings().cols();
         assert_eq!(old_ego.cols(), dim, "embedding dim changed across retrain");
         assert!(old_n_users <= old_ego.rows());
         assert!(old_n_users <= new_n_users);
         let old_n_items = old_ego.rows() - old_n_users;
-        let new_rows = self.ego.value().rows();
+        let new_rows = self.ego_embeddings().rows();
         assert!(new_n_users + old_n_items <= new_rows, "item table shrank");
-        let mut ego = self.ego.value().clone();
+        let mut ego = self.ego_embeddings().clone();
         for r in 0..old_n_users {
             ego.row_mut(r).copy_from_slice(old_ego.row(r));
         }
@@ -380,14 +379,14 @@ impl EgoGcn {
             ego.row_mut(new_n_users + i)
                 .copy_from_slice(old_ego.row(old_n_users + i));
         }
-        self.ego.set_value(ego);
+        self.params.set_value(EGO, ego);
         self.inference = None;
     }
 
     /// Checkpoints the learned parameters (the ego table) to a file,
     /// tagged with the model family (see `crate::checkpoint`).
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), IoError> {
-        crate::checkpoint::save_entries(path, self.checkpoint_tag(), &self.ego_entries())
+        crate::checkpoint::save_entries(path, self.checkpoint_tag(), &self.params.entries())
     }
 
     /// Restores parameters saved by [`EgoGcn::save`]. The checkpoint's
@@ -396,10 +395,6 @@ impl EgoGcn {
     pub fn load(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), IoError> {
         let entries = lrgcn_tensor::io::load_checkpoint(path)?;
         self.load_checkpoint_entries(&entries).map_err(IoError::Corrupt)
-    }
-
-    fn ego_entries(&self) -> Vec<(String, Matrix)> {
-        vec![("ego".into(), self.ego.value().clone())]
     }
 }
 
@@ -425,30 +420,17 @@ impl Recommender for EgoGcn {
             None => self.adj_full.clone(),
         };
         let propagation = self.cfg.propagation;
-        let mut total = 0.0f64;
-        let mut n = 0usize;
-        let mut ego_grad_sq = 0.0f64;
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
         for batch in batches {
             let mut tape = Tape::new();
-            let x0 = tape.leaf(self.ego.value().clone());
+            let on = self.params.leaves(&mut tape);
+            let x0 = on[EGO];
             let (layers, _) = propagation.chain(&mut tape, &adj_epoch, x0, self.cfg.n_layers);
             let final_x = propagation.readout(&mut tape, &layers);
             let loss = bpr_loss(&mut tape, final_x, x0, ds.n_users(), &batch, self.cfg.lambda);
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(x0) {
-                ego_grad_sq += grad_sq_norm(&g);
-                self.adam.update(&mut self.ego, &g);
-            }
+            self.params.step(&mut tape, loss, &on);
         }
-        self.last_grad_groups = vec![("ego".into(), ego_grad_sq.sqrt())];
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
+        self.params.end_epoch()
     }
 
     fn refresh(&mut self, _ds: &Dataset) {
@@ -464,74 +446,38 @@ impl Recommender for EgoGcn {
     }
 
     fn n_parameters(&self) -> usize {
-        self.ego.value().len()
+        self.params.n_parameters()
     }
 
     fn snapshot(&self) -> Option<Vec<Matrix>> {
-        Some(vec![self.ego.value().clone()])
+        Some(self.params.snapshot())
     }
 
-    fn restore(&mut self, mut params: Vec<Matrix>) {
-        assert_eq!(params.len(), 1, "{} snapshot holds one table", self.name());
-        let ego = params.pop().expect("checked len");
-        assert_eq!(ego.shape(), self.ego.value().shape(), "snapshot shape mismatch");
-        self.ego.set_value(ego);
+    fn restore(&mut self, values: Vec<Matrix>) {
+        self.params.restore(values);
         self.inference = None;
     }
 
     fn checkpoint_entries(&self) -> Option<Vec<(String, Matrix)>> {
-        Some(self.ego_entries())
+        Some(self.params.entries())
     }
 
     fn load_checkpoint_entries(&mut self, entries: &[(String, Matrix)]) -> Result<(), String> {
-        // Untagged files predate the family marker and are accepted.
-        if let Some(tag) = crate::checkpoint::model_tag(entries) {
-            if tag != self.checkpoint_tag() {
-                return Err(format!(
-                    "checkpoint is tagged {tag:?} but this model is {:?}",
-                    self.checkpoint_tag()
-                ));
-            }
-        }
-        let ego = crate::checkpoint::require_entry(entries, "ego")?;
-        if ego.shape() != self.ego.value().shape() {
-            return Err(format!(
-                "ego shape {:?} does not match model {:?}",
-                ego.shape(),
-                self.ego.value().shape()
-            ));
-        }
-        self.ego.set_value(ego.clone());
+        self.params.load_entries(entries, self.checkpoint_tag())?;
         self.inference = None;
         Ok(())
     }
 
     fn optim_state(&self) -> Option<OptimState> {
-        Some(OptimState {
-            step: self.adam.steps(),
-            lr: self.adam.lr,
-            moments: vec![(
-                "ego".into(),
-                self.ego.adam_m().clone(),
-                self.ego.adam_v().clone(),
-            )],
-        })
+        Some(self.params.optim_state())
     }
 
     fn load_optim_state(&mut self, state: &OptimState) -> Result<(), String> {
-        let (_, m, v) = state
-            .moments
-            .iter()
-            .find(|(n, _, _)| n == "ego")
-            .ok_or_else(|| "optimizer state missing \"ego\" moments".to_string())?;
-        self.ego.set_adam_state(m.clone(), v.clone())?;
-        self.adam.set_steps(state.step);
-        self.adam.lr = state.lr;
-        Ok(())
+        self.params.load_optim_state(state)
     }
 
     fn set_learning_rate(&mut self, lr: f32) -> bool {
-        self.adam.lr = lr;
+        self.params.set_learning_rate(lr);
         true
     }
 
@@ -581,13 +527,7 @@ impl Recommender for EgoGcn {
             Propagation::Light => vec![1.0 / n_chain as f64; n_chain],
             Propagation::ResidualConcat => Vec::new(),
         };
-        Some(ModelDiagnostics {
-            smoothness: consecutive_smoothness(&chain),
-            embedding_l2: mean_row_l2(self.ego.value()),
-            grad_norm: ModelDiagnostics::grad_norm_of(&self.last_grad_groups),
-            grad_groups: self.last_grad_groups.clone(),
-            layer_weights,
-        })
+        Some(self.params.diagnostics(consecutive_smoothness(&chain), layer_weights))
     }
 }
 

@@ -14,12 +14,17 @@
 //! single behaviour, for which EHCF reduces to exactly this whole-data loss
 //! (the reduction is documented in DESIGN.md).
 
+use crate::params::Params;
 use crate::traits::{EpochStats, Recommender};
 use lrgcn_data::Dataset;
-use lrgcn_tensor::{init, Adam, Matrix, Param, Tape};
+use lrgcn_tensor::{init, Matrix, Tape};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::rc::Rc;
+
+/// Parameter groups: the user and the item embedding tables.
+const USER: usize = 0;
+const ITEM: usize = 1;
 
 /// Hyper-parameters for [`Ehcf`].
 #[derive(Clone, Debug)]
@@ -49,9 +54,7 @@ impl Default for EhcfConfig {
 /// The (single-behaviour) EHCF recommender.
 pub struct Ehcf {
     cfg: EhcfConfig,
-    user_emb: Param,
-    item_emb: Param,
-    adam: Adam,
+    params: Params,
 }
 
 impl Ehcf {
@@ -60,15 +63,10 @@ impl Ehcf {
             (0.0..=1.0).contains(&cfg.negative_weight),
             "negative weight must be in [0, 1]"
         );
-        let user_emb = Param::new(init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng));
-        let item_emb = Param::new(init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng));
-        let adam = Adam::new(cfg.learning_rate);
-        Self {
-            cfg,
-            user_emb,
-            item_emb,
-            adam,
-        }
+        let params = Params::new(cfg.learning_rate)
+            .with("user", init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng))
+            .with("item", init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng));
+        Self { cfg, params }
     }
 }
 
@@ -86,8 +84,6 @@ impl Recommender for Ehcf {
             let j = rng.random_range(0..=i);
             users.swap(i, j);
         }
-        let mut total = 0.0f64;
-        let mut n = 0usize;
         for chunk in users.chunks(self.cfg.batch_size) {
             // Flattened positive pairs of this user chunk.
             let mut pos_u = Vec::new();
@@ -100,8 +96,8 @@ impl Recommender for Ehcf {
             }
             let n_pos = pos_u.len().max(1) as f32;
             let mut tape = Tape::new();
-            let p = tape.leaf(self.user_emb.value().clone());
-            let q = tape.leaf(self.item_emb.value().clone());
+            let on = self.params.leaves(&mut tape);
+            let (p, q) = (on[USER], on[ITEM]);
             // Positive part: (1 - c0) r̂² - 2 r̂ over observed pairs.
             let pu = tape.gather(p, Rc::new(pos_u));
             let qi = tape.gather(q, Rc::new(pos_i));
@@ -126,34 +122,20 @@ impl Recommender for Ehcf {
             let regsum = tape.add(rp, rq);
             let reg = tape.mul_scalar(regsum, self.cfg.lambda / n_pos);
             let loss = tape.add(scaled, reg);
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(p) {
-                self.adam.update(&mut self.user_emb, &g);
-            }
-            if let Some(g) = tape.take_grad(q) {
-                self.adam.update(&mut self.item_emb, &g);
-            }
+            self.params.step(&mut tape, loss, &on);
         }
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
+        self.params.end_epoch()
     }
 
     fn refresh(&mut self, _ds: &Dataset) {}
 
     fn score_users(&self, _ds: &Dataset, users: &[u32]) -> Matrix {
-        self.user_emb
-            .value()
-            .gather_rows(users)
-            .matmul_nt(self.item_emb.value())
+        let users = self.params.value(USER).gather_rows(users);
+        users.matmul_nt(self.params.value(ITEM))
     }
 
     fn n_parameters(&self) -> usize {
-        self.user_emb.value().len() + self.item_emb.value().len()
+        self.params.n_parameters()
     }
 }
 

@@ -18,14 +18,20 @@
 //! argmax; the original trains the MLP through its own gating construction.
 
 use crate::common::{
-    bpr_loss, consecutive_smoothness, full_adjacency, grad_sq_norm, mean_readout, mean_row_l2,
-    score_from_final,
+    bpr_loss, consecutive_smoothness, full_adjacency, mean_readout, score_from_final,
 };
+use crate::params::{Leaves, Params};
 use crate::traits::{EpochStats, ModelDiagnostics, Recommender};
 use lrgcn_data::{BprEpoch, Dataset};
 use lrgcn_tensor::tape::{SharedCsr, Tape, Var};
-use lrgcn_tensor::{init, Adam, Matrix, Param};
+use lrgcn_tensor::{init, Matrix};
 use rand::rngs::StdRng;
+
+/// Parameter groups: the ego table and the grouping MLP — a `(2T x S)`
+/// weight and a `(1 x S)` bias over `[e_u ‖ e_u¹]`.
+const EGO: usize = 0;
+const W_GROUP: usize = 1;
+const B_GROUP: usize = 2;
 
 /// Hyper-parameters for [`ImpGcn`].
 #[derive(Clone, Debug)]
@@ -55,18 +61,14 @@ impl Default for ImpGcnConfig {
 /// The IMP-GCN recommender.
 pub struct ImpGcn {
     cfg: ImpGcnConfig,
-    ego: Param,
-    /// Grouping MLP: `(2T x S)` weight + `(1 x S)` bias over `[e_u ‖ e_u¹]`.
-    w_group: Param,
-    b_group: Param,
-    adam: Adam,
+    /// One Adam over the BPR batches and the grouping-MLP step, so the two
+    /// share its step counter.
+    params: Params,
     adj: SharedCsr,
     /// Per-epoch subgroup adjacencies and soft probabilities.
     group_adj: Vec<SharedCsr>,
     group_probs: Matrix,
     inference: Option<Matrix>,
-    /// Per-group gradient norms from the most recent epoch (diagnostics).
-    last_grad_groups: Vec<(String, f64)>,
 }
 
 impl ImpGcn {
@@ -75,22 +77,18 @@ impl ImpGcn {
         assert!(cfg.n_layers >= 1, "need at least one layer");
         let n = ds.n_users() + ds.n_items();
         let t = cfg.embedding_dim;
-        let ego = Param::new(init::xavier_uniform(n, t, rng));
-        let w_group = Param::new(init::xavier_uniform(2 * t, cfg.n_groups, rng));
-        let b_group = Param::new(Matrix::zeros(1, cfg.n_groups));
-        let adam = Adam::new(cfg.learning_rate);
+        let params = Params::new(cfg.learning_rate)
+            .with("ego", init::xavier_uniform(n, t, rng))
+            .with("w_group", init::xavier_uniform(2 * t, cfg.n_groups, rng))
+            .with("b_group", Matrix::zeros(1, cfg.n_groups));
         let adj = full_adjacency(ds);
         let mut m = Self {
             cfg,
-            ego,
-            w_group,
-            b_group,
-            adam,
+            params,
             adj,
             group_adj: Vec::new(),
             group_probs: Matrix::zeros(0, 0),
             inference: None,
-            last_grad_groups: Vec::new(),
         };
         m.reassign_groups(ds);
         m
@@ -98,15 +96,15 @@ impl ImpGcn {
 
     /// Group logits for all users: `leaky_relu([E⁰_u ‖ (ÂE⁰)_u]) W + b`.
     fn group_logits(&self, ds: &Dataset) -> Matrix {
-        let x0 = self.ego.value();
+        let x0 = self.params.value(EGO);
         let e1v = self.adj.matrix().spmm(x0.data(), x0.cols());
         let e1 = Matrix::from_vec(x0.rows(), x0.cols(), e1v);
         let users0 = x0.slice_rows(0, ds.n_users());
         let users1 = e1.slice_rows(0, ds.n_users());
         let feat = Matrix::concat_cols(&[&users0, &users1]);
         let feat = feat.map(|x| if x > 0.0 { x } else { 0.2 * x });
-        let mut logits = feat.matmul(self.w_group.value());
-        let b = self.b_group.value();
+        let mut logits = feat.matmul(self.params.value(W_GROUP));
+        let b = self.params.value(B_GROUP);
         for r in 0..logits.rows() {
             for (o, &bb) in logits.row_mut(r).iter_mut().zip(b.row(0)) {
                 *o += bb;
@@ -176,12 +174,13 @@ impl ImpGcn {
     }
 
     /// Builds the IMP-GCN forward pass on a tape. Returns
-    /// `(final, x0, layer_embs)` where `layer_embs` is the per-depth chain
-    /// the mean readout averages (ego first).
+    /// `(final, leaves, layer_embs)` where `layer_embs` is the per-depth
+    /// chain the mean readout averages (ego first).
     /// The soft group probabilities enter as constants; the grouping MLP is
-    /// trained separately by [`ImpGcn::update_grouping_mlp`].
-    fn forward(&self, tape: &mut Tape, ds: &Dataset) -> (Var, Var, Vec<Var>) {
-        let x0 = tape.leaf(self.ego.value().clone());
+    /// off the tape, trained separately by [`ImpGcn::update_grouping_mlp`].
+    fn forward(&self, tape: &mut Tape, ds: &Dataset) -> (Var, Leaves, Vec<Var>) {
+        let on = self.params.leaves_of(tape, &[EGO]);
+        let x0 = on[EGO];
         let e1 = tape.spmm(&self.adj, x0);
         let mut layer_embs = vec![x0, e1];
         let soft_cols = self.soft_columns(ds);
@@ -216,7 +215,7 @@ impl ImpGcn {
         }
         layer_embs.truncate(self.cfg.n_layers.min(layer_embs.len() - 1) + 1);
         let final_x = mean_readout(tape, &layer_embs);
-        (final_x, x0, layer_embs)
+        (final_x, on, layer_embs)
     }
 }
 
@@ -228,36 +227,18 @@ impl Recommender for ImpGcn {
     fn train_epoch(&mut self, ds: &Dataset, _epoch: usize, rng: &mut StdRng) -> EpochStats {
         self.inference = None;
         self.reassign_groups(ds);
-        let mut total = 0.0f64;
-        let mut n = 0usize;
-        let mut ego_grad_sq = 0.0f64;
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
         for batch in batches {
             let mut tape = Tape::new();
-            let (final_x, x0, _) = self.forward(&mut tape, ds);
-            let loss = bpr_loss(&mut tape, final_x, x0, ds.n_users(), &batch, self.cfg.lambda);
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(x0) {
-                ego_grad_sq += grad_sq_norm(&g);
-                self.adam.update(&mut self.ego, &g);
-            }
+            let (final_x, on, _) = self.forward(&mut tape, ds);
+            let loss = bpr_loss(&mut tape, final_x, on[EGO], ds.n_users(), &batch, self.cfg.lambda);
+            self.params.step(&mut tape, loss, &on);
         }
         // Update the grouping MLP once per epoch with a lightweight
         // objective: make the soft assignment consistent with the hard
         // routing that produced this epoch's subgraphs (self-distillation).
-        let (w_grad, b_grad) = self.update_grouping_mlp(ds);
-        self.last_grad_groups = vec![
-            ("ego".into(), ego_grad_sq.sqrt()),
-            ("w_group".into(), w_grad),
-            ("b_group".into(), b_grad),
-        ];
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
+        self.update_grouping_mlp(ds);
+        self.params.end_epoch()
     }
 
     fn refresh(&mut self, ds: &Dataset) {
@@ -275,7 +256,7 @@ impl Recommender for ImpGcn {
     }
 
     fn n_parameters(&self) -> usize {
-        self.ego.value().len() + self.w_group.value().len() + self.b_group.value().len()
+        self.params.n_parameters()
     }
 
     fn diagnostics(&self, ds: &Dataset) -> Option<ModelDiagnostics> {
@@ -284,23 +265,17 @@ impl Recommender for ImpGcn {
         let mut tape = Tape::new();
         let (_, _, layer_embs) = self.forward(&mut tape, ds);
         let chain: Vec<Matrix> = layer_embs.iter().map(|&v| tape.value(v).clone()).collect();
-        let k = chain.len();
-        Some(ModelDiagnostics {
-            smoothness: consecutive_smoothness(&chain),
-            embedding_l2: mean_row_l2(self.ego.value()),
-            grad_norm: ModelDiagnostics::grad_norm_of(&self.last_grad_groups),
-            grad_groups: self.last_grad_groups.clone(),
-            // Mean readout: uniform weight over the layer chain.
-            layer_weights: vec![1.0 / k as f64; k],
-        })
+        // Mean readout: uniform weight over the layer chain.
+        let uniform = vec![1.0 / chain.len() as f64; chain.len()];
+        Some(self.params.diagnostics(consecutive_smoothness(&chain), uniform))
     }
 }
 
 impl ImpGcn {
     /// Sharpens the grouping MLP toward its own hard assignment (one step of
     /// cross-entropy self-distillation), giving the MLP a training signal.
-    /// Returns the `(w_group, b_group)` gradient norms for diagnostics.
-    fn update_grouping_mlp(&mut self, ds: &Dataset) -> (f64, f64) {
+    /// The ego table is a constant here; only the MLP steps.
+    fn update_grouping_mlp(&mut self, ds: &Dataset) {
         let hard: Vec<u32> = {
             let logits = self.group_logits(ds);
             (0..logits.rows() as u32)
@@ -316,17 +291,16 @@ impl ImpGcn {
                 .collect()
         };
         let mut tape = Tape::new();
-        let x0 = tape.constant(self.ego.value().clone());
+        let x0 = tape.constant(self.params.value(EGO).clone());
         let e1 = tape.spmm(&self.adj, x0);
         let idx: std::rc::Rc<Vec<u32>> = std::rc::Rc::new((0..ds.n_users() as u32).collect());
         let u0 = tape.gather(x0, std::rc::Rc::clone(&idx));
         let u1 = tape.gather(e1, idx);
         let feat = tape.concat_cols(&[u0, u1]);
         let feat_act = tape.leaky_relu(feat, 0.2);
-        let w = tape.leaf(self.w_group.value().clone());
-        let b = tape.leaf(self.b_group.value().clone());
-        let lin = tape.matmul(feat_act, w);
-        let logits = tape.add_col_broadcast(lin, b);
+        let on = self.params.leaves_of(&mut tape, &[W_GROUP, B_GROUP]);
+        let lin = tape.matmul(feat_act, on[W_GROUP]);
+        let logits = tape.add_col_broadcast(lin, on[B_GROUP]);
         let ls = tape.row_log_softmax(logits);
         // One-hot mask of the hard assignment.
         let mut mask = Matrix::zeros(ds.n_users(), self.cfg.n_groups);
@@ -337,19 +311,7 @@ impl ImpGcn {
         let picked = tape.mul(ls, mk);
         let s = tape.sum(picked);
         let loss = tape.mul_scalar(s, -1.0 / ds.n_users().max(1) as f32);
-        tape.backward(loss);
-        self.adam.begin_step();
-        let mut w_grad = 0.0f64;
-        let mut b_grad = 0.0f64;
-        if let Some(g) = tape.take_grad(w) {
-            w_grad = grad_sq_norm(&g).sqrt();
-            self.adam.update(&mut self.w_group, &g);
-        }
-        if let Some(g) = tape.take_grad(b) {
-            b_grad = grad_sq_norm(&g).sqrt();
-            self.adam.update(&mut self.b_group, &g);
-        }
-        (w_grad, b_grad)
+        self.params.descend(&mut tape, loss, &on);
     }
 }
 
@@ -407,10 +369,10 @@ mod tests {
         let ds = tiny_dataset(4);
         let mut rng = StdRng::seed_from_u64(1);
         let mut m = ImpGcn::new(&ds, ImpGcnConfig::default(), &mut rng);
-        let w0 = m.w_group.value().clone();
+        let w0 = m.params.value(W_GROUP).clone();
         for e in 0..3 {
             m.train_epoch(&ds, e, &mut rng);
         }
-        assert!(m.w_group.value().sub(&w0).max_abs() > 0.0);
+        assert!(m.params.value(W_GROUP).sub(&w0).max_abs() > 0.0);
     }
 }

@@ -14,17 +14,20 @@
 //! ```
 
 use crate::common::{
-    bpr_loss, consecutive_smoothness, full_adjacency, grad_sq_norm, mean_row_l2,
-    score_from_final, sum_readout,
+    bpr_loss, consecutive_smoothness, full_adjacency, score_from_final, sum_readout,
 };
 use crate::egogcn::refined_chain;
+use crate::params::Params;
 use crate::traits::{EpochStats, ModelDiagnostics, Recommender};
 use lrgcn_data::{BprEpoch, Dataset};
 use lrgcn_graph::EdgePruner;
 use lrgcn_tensor::tape::{SharedCsr, Tape};
-use lrgcn_tensor::{init, Adam, Matrix, Param};
+use lrgcn_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 use std::rc::Rc;
+
+/// The ego table `X^0`, the one parameter group.
+const EGO: usize = 0;
 
 /// Hyper-parameters for [`LayerGcnSsl`].
 #[derive(Clone, Debug)]
@@ -75,12 +78,9 @@ impl Default for LayerGcnSslConfig {
 /// LayerGCN augmented with a two-view contrastive objective.
 pub struct LayerGcnSsl {
     cfg: LayerGcnSslConfig,
-    ego: Param,
-    adam: Adam,
+    params: Params,
     adj_full: SharedCsr,
     inference: Option<Matrix>,
-    /// Per-group gradient norms from the most recent epoch (diagnostics).
-    last_grad_groups: Vec<(String, f64)>,
 }
 
 impl LayerGcnSsl {
@@ -98,16 +98,14 @@ impl LayerGcnSsl {
             cfg
         };
         let n = ds.n_users() + ds.n_items();
-        let ego = Param::new(init::xavier_uniform(n, cfg.embedding_dim, rng));
-        let adam = Adam::new(cfg.learning_rate);
+        let ego = init::xavier_uniform(n, cfg.embedding_dim, rng);
+        let params = Params::new(cfg.learning_rate).with("ego", ego);
         let adj_full = full_adjacency(ds);
         Self {
             cfg,
-            ego,
-            adam,
+            params,
             adj_full,
             inference: None,
-            last_grad_groups: Vec::new(),
         }
     }
 
@@ -117,7 +115,7 @@ impl LayerGcnSsl {
 
     fn final_embeddings(&self) -> Matrix {
         let mut tape = Tape::new();
-        let x0 = tape.constant(self.ego.value().clone());
+        let x0 = tape.constant(self.params.value(EGO).clone());
         let (layers, _) = refined_chain(
             &mut tape,
             &self.adj_full,
@@ -150,14 +148,12 @@ impl Recommender for LayerGcnSsl {
         let view2 = sample_view(rng, epoch);
         let tau = self.cfg.temperature;
         let ssl_on = self.cfg.ssl_weight > 0.0 && epoch >= self.cfg.warmup_epochs;
-        let mut total = 0.0f64;
-        let mut n = 0usize;
-        let mut ego_grad_sq = 0.0f64;
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
         let off = ds.n_users() as u32;
         for batch in batches {
             let mut tape = Tape::new();
-            let x0 = tape.leaf(self.ego.value().clone());
+            let on = self.params.leaves(&mut tape);
+            let x0 = on[EGO];
             let (l1, _) = refined_chain(
                 &mut tape,
                 &view1,
@@ -209,20 +205,9 @@ impl Recommender for LayerGcnSsl {
                     loss = tape.add(loss, infonce);
                 }
             }
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(x0) {
-                ego_grad_sq += grad_sq_norm(&g);
-                self.adam.update(&mut self.ego, &g);
-            }
+            self.params.step(&mut tape, loss, &on);
         }
-        self.last_grad_groups = vec![("ego".into(), ego_grad_sq.sqrt())];
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
+        self.params.end_epoch()
     }
 
     fn refresh(&mut self, _ds: &Dataset) {
@@ -238,7 +223,7 @@ impl Recommender for LayerGcnSsl {
     }
 
     fn n_parameters(&self) -> usize {
-        self.ego.value().len()
+        self.params.n_parameters()
     }
 
     fn diagnostics(&self, _ds: &Dataset) -> Option<ModelDiagnostics> {
@@ -246,7 +231,8 @@ impl Recommender for LayerGcnSsl {
         // the stochastic training views vary per epoch, the full graph is
         // the stable object worth tracking.
         let mut tape = Tape::new();
-        let x0 = tape.constant(self.ego.value().clone());
+        let ego = self.params.value(EGO);
+        let x0 = tape.constant(ego.clone());
         let (layers, sims) = refined_chain(
             &mut tape,
             &self.adj_full,
@@ -255,19 +241,13 @@ impl Recommender for LayerGcnSsl {
             self.cfg.epsilon,
             self.cfg.cosine_eps,
         );
-        let mut chain = vec![self.ego.value().clone()];
+        let mut chain = vec![ego.clone()];
         chain.extend(layers.iter().map(|&l| tape.value(l).clone()));
         let layer_weights = sims
             .iter()
             .map(|&s| tape.value(s).mean() as f64)
             .collect();
-        Some(ModelDiagnostics {
-            smoothness: consecutive_smoothness(&chain),
-            embedding_l2: mean_row_l2(self.ego.value()),
-            grad_norm: ModelDiagnostics::grad_norm_of(&self.last_grad_groups),
-            grad_groups: self.last_grad_groups.clone(),
-            layer_weights,
-        })
+        Some(self.params.diagnostics(consecutive_smoothness(&chain), layer_weights))
     }
 }
 

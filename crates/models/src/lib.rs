@@ -19,7 +19,9 @@
 //! | [`residual`] | Vanilla GCN / residual GCN / GCNII-style initial residual | §IV-B |
 //! | [`layergcn_ssl`] | LayerGCN + contrastive SSL (extension, §VI) | future work |
 //!
-//! All models implement [`traits::Recommender`]. [`layergcn`] keeps the
+//! All models implement [`traits::Recommender`] and train through one
+//! [`params::Params`]: their parameters, one Adam optimiser and one step.
+//! [`layergcn`] keeps the
 //! `layergcn::{LayerGcn, LayerGcnConfig, refined_chain}` import path.
 
 pub mod bpr;
@@ -36,6 +38,7 @@ pub mod layergcn_ssl;
 pub mod lightgcn;
 pub mod multivae;
 pub mod ngcf;
+pub mod params;
 pub mod registry;
 pub mod residual;
 pub mod traits;
@@ -60,6 +63,7 @@ pub use lightgcn::WeightedLightGcn;
 pub use multivae::{MultiVae, MultiVaeConfig};
 pub use ngcf::{Ngcf, NgcfConfig};
 pub use ultragcn::{UltraGcn, UltraGcnConfig};
+pub use params::{Leaves, Params};
 pub use registry::ModelKind;
 pub use residual::{ResidualFamilyGcn, ResidualGcnConfig, ResidualKind};
 pub use traits::{EpochStats, OptimState, Recommender};

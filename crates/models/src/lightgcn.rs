@@ -4,16 +4,21 @@
 //! Eq. 2 of the paper) is [`crate::egogcn::LightGcn`].
 
 use crate::common::{
-    bpr_loss, consecutive_smoothness, full_adjacency, grad_sq_norm, mean_row_l2, propagate_matrix,
-    score_from_final,
+    bpr_loss, consecutive_smoothness, full_adjacency, propagate_matrix, score_from_final,
 };
 use crate::egogcn::{LightGcnConfig, Propagation};
+use crate::params::Params;
 use crate::traits::{EpochStats, ModelDiagnostics, Recommender};
 use lrgcn_data::{BprEpoch, Dataset};
 use lrgcn_tensor::tape::SharedCsr;
-use lrgcn_tensor::{init, Adam, Matrix, Param, Tape};
+use lrgcn_tensor::{init, Matrix, Tape};
 use rand::rngs::StdRng;
 use std::rc::Rc;
+
+/// Parameter groups: the ego table and the raw readout logits, shape
+/// `(L+1, 1)`, whose softmax weighs the layers.
+const EGO: usize = 0;
+const LAYER_LOGITS: usize = 1;
 
 /// LightGCN with *learnable* softmax weights over layer embeddings.
 ///
@@ -23,37 +28,29 @@ use std::rc::Rc;
 /// the experiment can log them per epoch.
 pub struct WeightedLightGcn {
     cfg: LightGcnConfig,
-    ego: Param,
-    /// Raw logits, shape `(L+1, 1)`; readout weights are their softmax.
-    layer_logits: Param,
-    adam: Adam,
+    params: Params,
     adj: SharedCsr,
     inference: Option<Matrix>,
-    /// Per-group gradient norms from the most recent epoch (diagnostics).
-    last_grad_groups: Vec<(String, f64)>,
 }
 
 impl WeightedLightGcn {
     pub fn new(ds: &Dataset, cfg: LightGcnConfig, rng: &mut StdRng) -> Self {
         let n = ds.n_users() + ds.n_items();
-        let ego = Param::new(init::xavier_uniform(n, cfg.embedding_dim, rng));
-        let layer_logits = Param::new(Matrix::zeros(cfg.n_layers + 1, 1));
-        let adam = Adam::new(cfg.learning_rate);
+        let params = Params::new(cfg.learning_rate)
+            .with("ego", init::xavier_uniform(n, cfg.embedding_dim, rng))
+            .with("layer_logits", Matrix::zeros(cfg.n_layers + 1, 1));
         let adj = full_adjacency(ds);
         Self {
             cfg,
-            ego,
-            layer_logits,
-            adam,
+            params,
             adj,
             inference: None,
-            last_grad_groups: Vec::new(),
         }
     }
 
     /// Current softmax weights over layers `0..=L` (ego layer first).
     pub fn layer_weights(&self) -> Vec<f32> {
-        let logits = self.layer_logits.value().data();
+        let logits = self.params.value(LAYER_LOGITS).data();
         let mx = logits.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
         let exp: Vec<f32> = logits.iter().map(|&x| (x - mx).exp()).collect();
         let z: f32 = exp.iter().sum();
@@ -61,7 +58,7 @@ impl WeightedLightGcn {
     }
 
     fn weighted_final(&self) -> Matrix {
-        let layers = propagate_matrix(self.adj.matrix(), self.ego.value(), self.cfg.n_layers);
+        let layers = propagate_matrix(self.adj.matrix(), self.params.value(EGO), self.cfg.n_layers);
         let w = self.layer_weights();
         let mut acc = Matrix::zeros(layers[0].rows(), layers[0].cols());
         for (l, wl) in layers.iter().zip(w) {
@@ -78,15 +75,11 @@ impl Recommender for WeightedLightGcn {
 
     fn train_epoch(&mut self, ds: &Dataset, _epoch: usize, rng: &mut StdRng) -> EpochStats {
         self.inference = None;
-        let mut total = 0.0f64;
-        let mut n = 0usize;
-        let mut ego_grad_sq = 0.0f64;
-        let mut logits_grad_sq = 0.0f64;
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
         for batch in batches {
             let mut tape = Tape::new();
-            let x0 = tape.leaf(self.ego.value().clone());
-            let logits = tape.leaf(self.layer_logits.value().clone());
+            let on = self.params.leaves(&mut tape);
+            let (x0, logits) = (on[EGO], on[LAYER_LOGITS]);
             let (layers, _) = Propagation::Light.chain(&mut tape, &self.adj, x0, self.cfg.n_layers);
             // softmax over the (L+1, 1) logits column.
             let e = tape.exp(logits);
@@ -105,27 +98,9 @@ impl Recommender for WeightedLightGcn {
             }
             let final_x = final_x.expect("at least one layer");
             let loss = bpr_loss(&mut tape, final_x, x0, ds.n_users(), &batch, self.cfg.lambda);
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(x0) {
-                ego_grad_sq += grad_sq_norm(&g);
-                self.adam.update(&mut self.ego, &g);
-            }
-            if let Some(g) = tape.take_grad(logits) {
-                logits_grad_sq += grad_sq_norm(&g);
-                self.adam.update(&mut self.layer_logits, &g);
-            }
+            self.params.step(&mut tape, loss, &on);
         }
-        self.last_grad_groups = vec![
-            ("ego".into(), ego_grad_sq.sqrt()),
-            ("layer_logits".into(), logits_grad_sq.sqrt()),
-        ];
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
+        self.params.end_epoch()
     }
 
     fn refresh(&mut self, _ds: &Dataset) {
@@ -141,20 +116,15 @@ impl Recommender for WeightedLightGcn {
     }
 
     fn n_parameters(&self) -> usize {
-        self.ego.value().len() + self.layer_logits.value().len()
+        self.params.n_parameters()
     }
 
     fn diagnostics(&self, _ds: &Dataset) -> Option<ModelDiagnostics> {
-        let chain = propagate_matrix(self.adj.matrix(), self.ego.value(), self.cfg.n_layers);
-        Some(ModelDiagnostics {
-            smoothness: consecutive_smoothness(&chain),
-            embedding_l2: mean_row_l2(self.ego.value()),
-            grad_norm: ModelDiagnostics::grad_norm_of(&self.last_grad_groups),
-            grad_groups: self.last_grad_groups.clone(),
-            // The learned softmax readout weights — the Fig. 1 "solution
-            // collapsing" trajectory when logged across epochs.
-            layer_weights: self.layer_weights().iter().map(|&w| w as f64).collect(),
-        })
+        let chain = propagate_matrix(self.adj.matrix(), self.params.value(EGO), self.cfg.n_layers);
+        // The learned softmax readout weights — the Fig. 1 "solution
+        // collapsing" trajectory when logged across epochs.
+        let weights = self.layer_weights().iter().map(|&w| w as f64).collect();
+        Some(self.params.diagnostics(consecutive_smoothness(&chain), weights))
     }
 }
 

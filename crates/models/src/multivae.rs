@@ -8,12 +8,24 @@
 //! `n_items → H → (μ, log σ²) → H → n_items`, sized down with the synthetic
 //! catalogues.
 
+use crate::params::Params;
 use crate::traits::{EpochStats, Recommender};
 use lrgcn_data::Dataset;
-use lrgcn_tensor::{init, Adam, Matrix, Param, Tape};
+use lrgcn_tensor::{init, Matrix, Tape};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::rc::Rc;
+
+/// Parameter groups: encoder, then decoder, weight before bias. Groups 4
+/// and 5 are the log-variance head, which only training reads.
+const W_ENC: usize = 0;
+const B_ENC: usize = 1;
+const W_MU: usize = 2;
+const B_MU: usize = 3;
+const W_DEC: usize = 6;
+const B_DEC: usize = 7;
+const W_OUT: usize = 8;
+const B_OUT: usize = 9;
 
 /// Hyper-parameters for [`MultiVae`].
 #[derive(Clone, Debug)]
@@ -48,39 +60,27 @@ impl Default for MultiVaeConfig {
 /// The MultiVAE recommender.
 pub struct MultiVae {
     cfg: MultiVaeConfig,
-    // Encoder.
-    w_enc: Param,
-    b_enc: Param,
-    w_mu: Param,
-    b_mu: Param,
-    w_logvar: Param,
-    b_logvar: Param,
-    // Decoder.
-    w_dec: Param,
-    b_dec: Param,
-    w_out: Param,
-    b_out: Param,
-    adam: Adam,
+    params: Params,
     epochs_seen: usize,
 }
 
 impl MultiVae {
     pub fn new(ds: &Dataset, cfg: MultiVaeConfig, rng: &mut StdRng) -> Self {
         let (n_items, h, z) = (ds.n_items(), cfg.hidden_dim, cfg.latent_dim);
-        let adam = Adam::new(cfg.learning_rate);
+        let params = Params::new(cfg.learning_rate)
+            .with("w_enc", init::xavier_uniform(n_items, h, rng))
+            .with("b_enc", Matrix::zeros(1, h))
+            .with("w_mu", init::xavier_uniform(h, z, rng))
+            .with("b_mu", Matrix::zeros(1, z))
+            .with("w_logvar", init::xavier_uniform(h, z, rng))
+            .with("b_logvar", Matrix::zeros(1, z))
+            .with("w_dec", init::xavier_uniform(z, h, rng))
+            .with("b_dec", Matrix::zeros(1, h))
+            .with("w_out", init::xavier_uniform(h, n_items, rng))
+            .with("b_out", Matrix::zeros(1, n_items));
         Self {
             cfg,
-            w_enc: Param::new(init::xavier_uniform(n_items, h, rng)),
-            b_enc: Param::new(Matrix::zeros(1, h)),
-            w_mu: Param::new(init::xavier_uniform(h, z, rng)),
-            b_mu: Param::new(Matrix::zeros(1, z)),
-            w_logvar: Param::new(init::xavier_uniform(h, z, rng)),
-            b_logvar: Param::new(Matrix::zeros(1, z)),
-            w_dec: Param::new(init::xavier_uniform(z, h, rng)),
-            b_dec: Param::new(Matrix::zeros(1, h)),
-            w_out: Param::new(init::xavier_uniform(h, n_items, rng)),
-            b_out: Param::new(Matrix::zeros(1, n_items)),
-            adam,
+            params,
             epochs_seen: 0,
         }
     }
@@ -99,21 +99,6 @@ impl MultiVae {
             }
         }
         m
-    }
-
-    fn params_mut(&mut self) -> [&mut Param; 10] {
-        [
-            &mut self.w_enc,
-            &mut self.b_enc,
-            &mut self.w_mu,
-            &mut self.b_mu,
-            &mut self.w_logvar,
-            &mut self.b_logvar,
-            &mut self.w_dec,
-            &mut self.b_dec,
-            &mut self.w_out,
-            &mut self.b_out,
-        ]
     }
 }
 
@@ -135,8 +120,6 @@ impl Recommender for MultiVae {
             let j = rng.random_range(0..=i);
             users.swap(i, j);
         }
-        let mut total = 0.0f64;
-        let mut n = 0usize;
         for chunk in users.chunks(self.cfg.batch_size) {
             let x_in = Self::user_rows(ds, chunk);
             let b = chunk.len();
@@ -153,17 +136,8 @@ impl Recommender for MultiVae {
             } else {
                 tape.constant(x_in.clone())
             };
-            let we = tape.leaf(self.w_enc.value().clone());
-            let be = tape.leaf(self.b_enc.value().clone());
-            let wm = tape.leaf(self.w_mu.value().clone());
-            let bm = tape.leaf(self.b_mu.value().clone());
-            let wl = tape.leaf(self.w_logvar.value().clone());
-            let bl = tape.leaf(self.b_logvar.value().clone());
-            let wd = tape.leaf(self.w_dec.value().clone());
-            let bd = tape.leaf(self.b_dec.value().clone());
-            let wo = tape.leaf(self.w_out.value().clone());
-            let bo = tape.leaf(self.b_out.value().clone());
-            let leaves = [we, be, wm, bm, wl, bl, wd, bd, wo, bo];
+            let on = self.params.leaves(&mut tape);
+            let [we, be, wm, bm, wl, bl, wd, bd, wo, bo] = std::array::from_fn(|g| on[g]);
 
             let h_pre = tape.matmul(x, we);
             let h_b = tape.add_col_broadcast(h_pre, be);
@@ -203,23 +177,9 @@ impl Recommender for MultiVae {
             let kl_sum = tape.sum(t2);
             let kl = tape.mul_scalar(kl_sum, -0.5 * anneal / b as f32);
             let loss = tape.add(nll, kl);
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            let grads: Vec<Option<Matrix>> =
-                leaves.iter().map(|&v| tape.take_grad(v)).collect();
-            let adam = self.adam.clone();
-            for (p, g) in self.params_mut().into_iter().zip(grads) {
-                if let Some(g) = g {
-                    adam.update(p, &g);
-                }
-            }
+            self.params.step(&mut tape, loss, &on);
         }
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
+        self.params.end_epoch()
     }
 
     fn refresh(&mut self, _ds: &Dataset) {}
@@ -229,14 +189,9 @@ impl Recommender for MultiVae {
         let x_in = Self::user_rows(ds, users);
         let mut tape = Tape::new();
         let x = tape.constant(x_in);
-        let we = tape.constant(self.w_enc.value().clone());
-        let be = tape.constant(self.b_enc.value().clone());
-        let wm = tape.constant(self.w_mu.value().clone());
-        let bm = tape.constant(self.b_mu.value().clone());
-        let wd = tape.constant(self.w_dec.value().clone());
-        let bd = tape.constant(self.b_dec.value().clone());
-        let wo = tape.constant(self.w_out.value().clone());
-        let bo = tape.constant(self.b_out.value().clone());
+        let used = [W_ENC, B_ENC, W_MU, B_MU, W_DEC, B_DEC, W_OUT, B_OUT];
+        let [we, be, wm, bm, wd, bd, wo, bo] =
+            used.map(|g| tape.constant(self.params.value(g).clone()));
         let h_pre = tape.matmul(x, we);
         let h_b = tape.add_col_broadcast(h_pre, be);
         let h = tape.tanh(h_b);
@@ -251,21 +206,7 @@ impl Recommender for MultiVae {
     }
 
     fn n_parameters(&self) -> usize {
-        [
-            &self.w_enc,
-            &self.b_enc,
-            &self.w_mu,
-            &self.b_mu,
-            &self.w_logvar,
-            &self.b_logvar,
-            &self.w_dec,
-            &self.b_dec,
-            &self.w_out,
-            &self.b_out,
-        ]
-        .iter()
-        .map(|p| p.value().len())
-        .sum()
+        self.params.n_parameters()
     }
 }
 

@@ -5,16 +5,20 @@
 //! concatenates all (normalized) layers including the ego layer, and scores
 //! by inner product in the concatenated space.
 
-use crate::common::{
-    batch_node_indices, consecutive_smoothness, full_adjacency, grad_sq_norm, mean_row_l2,
-};
+use crate::common::{bpr_loss, consecutive_smoothness, full_adjacency};
+use crate::params::{Leaves, Params};
 use crate::traits::{EpochStats, ModelDiagnostics, Recommender};
 use lrgcn_data::{BprEpoch, Dataset};
 use lrgcn_tensor::tape::{SharedCsr, Tape, Var};
-use lrgcn_tensor::{init, Adam, Matrix, Param};
+use lrgcn_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::rc::Rc;
+
+/// Parameter groups: the ego table and the per-layer `W₁`, `W₂`.
+const EGO: usize = 0;
+const W1: usize = 1;
+const W2: usize = 2;
 
 /// Hyper-parameters for [`Ngcf`].
 #[derive(Clone, Debug)]
@@ -46,22 +50,15 @@ impl Default for NgcfConfig {
 /// The NGCF recommender.
 pub struct Ngcf {
     cfg: NgcfConfig,
-    ego: Param,
-    w1: Vec<Param>,
-    w2: Vec<Param>,
-    adam: Adam,
+    params: Params,
     adj: SharedCsr,
     inference: Option<Matrix>,
-    /// Per-group gradient norms from the most recent epoch (diagnostics).
-    last_grad_groups: Vec<(String, f64)>,
 }
 
 /// Tape nodes produced by one NGCF forward pass.
 struct NgcfForward {
     final_x: Var,
-    x0: Var,
-    w1v: Vec<Var>,
-    w2v: Vec<Var>,
+    on: Leaves,
     /// The per-layer normalized embeddings the readout concatenates
     /// (ego first) — the layer chain for smoothness diagnostics.
     parts: Vec<Var>,
@@ -71,33 +68,26 @@ impl Ngcf {
     pub fn new(ds: &Dataset, cfg: NgcfConfig, rng: &mut StdRng) -> Self {
         let n = ds.n_users() + ds.n_items();
         let t = cfg.embedding_dim;
-        let ego = Param::new(init::xavier_uniform(n, t, rng));
-        let w1 = (0..cfg.n_layers)
-            .map(|_| Param::new(init::xavier_uniform(t, t, rng)))
-            .collect();
-        let w2 = (0..cfg.n_layers)
-            .map(|_| Param::new(init::xavier_uniform(t, t, rng)))
-            .collect();
-        let adam = Adam::new(cfg.learning_rate);
+        let ego = init::xavier_uniform(n, t, rng);
+        let mut weights = || (0..cfg.n_layers).map(|_| init::xavier_uniform(t, t, rng)).collect();
+        let params = Params::new(cfg.learning_rate)
+            .with("ego", ego)
+            .with_list("w1", weights())
+            .with_list("w2", weights());
         let adj = full_adjacency(ds);
         Self {
             cfg,
-            ego,
-            w1,
-            w2,
-            adam,
+            params,
             adj,
             inference: None,
-            last_grad_groups: Vec::new(),
         }
     }
 
     /// Builds the concatenated-layer representation. `dropout_rng` enables
     /// message dropout (training); `None` disables it (inference).
     fn forward(&self, tape: &mut Tape, dropout_rng: Option<&mut StdRng>) -> NgcfForward {
-        let x0 = tape.leaf(self.ego.value().clone());
-        let w1v: Vec<Var> = self.w1.iter().map(|p| tape.leaf(p.value().clone())).collect();
-        let w2v: Vec<Var> = self.w2.iter().map(|p| tape.leaf(p.value().clone())).collect();
+        let on = self.params.leaves(tape);
+        let (x0, w1v, w2v) = (on[EGO], on.group(W1), on.group(W2));
         let mut parts = Vec::with_capacity(self.cfg.n_layers + 1);
         let norm0 = tape.row_l2_normalize(x0, 1e-12);
         parts.push(norm0);
@@ -126,13 +116,7 @@ impl Ngcf {
             h = act;
         }
         let final_x = tape.concat_cols(&parts);
-        NgcfForward {
-            final_x,
-            x0,
-            w1v,
-            w2v,
-            parts,
-        }
+        NgcfForward { final_x, on, parts }
     }
 }
 
@@ -143,68 +127,14 @@ impl Recommender for Ngcf {
 
     fn train_epoch(&mut self, ds: &Dataset, _epoch: usize, rng: &mut StdRng) -> EpochStats {
         self.inference = None;
-        let mut total = 0.0f64;
-        let mut n = 0usize;
-        let mut grad_sq = [0.0f64; 3]; // ego, w1, w2
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
         for batch in batches {
             let mut tape = Tape::new();
-            let NgcfForward {
-                final_x,
-                x0,
-                w1v,
-                w2v,
-                ..
-            } = self.forward(&mut tape, Some(rng));
-            let (u_idx, i_idx, j_idx) = batch_node_indices(&batch, ds.n_users());
-            let eu = tape.gather(final_x, Rc::clone(&u_idx));
-            let ei = tape.gather(final_x, Rc::clone(&i_idx));
-            let ej = tape.gather(final_x, Rc::clone(&j_idx));
-            let pos = tape.row_dot(eu, ei);
-            let neg = tape.row_dot(eu, ej);
-            let diff = tape.sub(neg, pos);
-            let sp = tape.softplus(diff);
-            let bpr = tape.mean_all(sp);
-            let e0u = tape.gather(x0, u_idx);
-            let e0i = tape.gather(x0, i_idx);
-            let e0j = tape.gather(x0, j_idx);
-            let ru = tape.sq_frobenius(e0u);
-            let ri = tape.sq_frobenius(e0i);
-            let rj = tape.sq_frobenius(e0j);
-            let r1 = tape.add(ru, ri);
-            let r2 = tape.add(r1, rj);
-            let reg = tape.mul_scalar(r2, self.cfg.lambda / batch.len().max(1) as f32);
-            let loss = tape.add(bpr, reg);
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(x0) {
-                grad_sq[0] += grad_sq_norm(&g);
-                self.adam.update(&mut self.ego, &g);
-            }
-            for (p, v) in self.w1.iter_mut().zip(&w1v) {
-                if let Some(g) = tape.take_grad(*v) {
-                    grad_sq[1] += grad_sq_norm(&g);
-                    self.adam.update(p, &g);
-                }
-            }
-            for (p, v) in self.w2.iter_mut().zip(&w2v) {
-                if let Some(g) = tape.take_grad(*v) {
-                    grad_sq[2] += grad_sq_norm(&g);
-                    self.adam.update(p, &g);
-                }
-            }
+            let NgcfForward { final_x, on, .. } = self.forward(&mut tape, Some(rng));
+            let loss = bpr_loss(&mut tape, final_x, on[EGO], ds.n_users(), &batch, self.cfg.lambda);
+            self.params.step(&mut tape, loss, &on);
         }
-        self.last_grad_groups = vec![
-            ("ego".into(), grad_sq[0].sqrt()),
-            ("w1".into(), grad_sq[1].sqrt()),
-            ("w2".into(), grad_sq[2].sqrt()),
-        ];
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
+        self.params.end_epoch()
     }
 
     fn refresh(&mut self, _ds: &Dataset) {
@@ -222,9 +152,7 @@ impl Recommender for Ngcf {
     }
 
     fn n_parameters(&self) -> usize {
-        self.ego.value().len()
-            + self.w1.iter().map(|p| p.value().len()).sum::<usize>()
-            + self.w2.iter().map(|p| p.value().len()).sum::<usize>()
+        self.params.n_parameters()
     }
 
     fn diagnostics(&self, _ds: &Dataset) -> Option<ModelDiagnostics> {
@@ -233,14 +161,8 @@ impl Recommender for Ngcf {
         let mut tape = Tape::new();
         let fwd = self.forward(&mut tape, None);
         let chain: Vec<Matrix> = fwd.parts.iter().map(|&p| tape.value(p).clone()).collect();
-        Some(ModelDiagnostics {
-            smoothness: consecutive_smoothness(&chain),
-            embedding_l2: mean_row_l2(self.ego.value()),
-            grad_norm: ModelDiagnostics::grad_norm_of(&self.last_grad_groups),
-            grad_groups: self.last_grad_groups.clone(),
-            // Concatenation readout: no per-layer weighting.
-            layer_weights: Vec::new(),
-        })
+        // Concatenation readout: no per-layer weighting.
+        Some(self.params.diagnostics(consecutive_smoothness(&chain), Vec::new()))
     }
 }
 

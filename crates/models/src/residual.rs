@@ -18,11 +18,17 @@
 //! scheme.
 
 use crate::common::{bpr_loss, mean_readout, score_from_final};
+use crate::params::{Leaves, Params};
 use crate::traits::{EpochStats, Recommender};
 use lrgcn_data::{BprEpoch, Dataset};
 use lrgcn_tensor::tape::{SharedCsr, Tape, Var};
-use lrgcn_tensor::{init, Adam, Matrix, Param};
+use lrgcn_tensor::{init, Matrix};
 use rand::rngs::StdRng;
+
+/// Parameter groups: the ego table and the per-layer feature transforms
+/// `W^l` (only for [`ResidualKind::Vanilla`]; empty otherwise).
+const EGO: usize = 0;
+const WEIGHTS: usize = 1;
 
 /// Which skip-connection scheme a [`ResidualFamilyGcn`] uses.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -67,10 +73,7 @@ impl Default for ResidualGcnConfig {
 /// [`ResidualKind`]).
 pub struct ResidualFamilyGcn {
     cfg: ResidualGcnConfig,
-    ego: Param,
-    /// Per-layer feature transforms (only for [`ResidualKind::Vanilla`]).
-    weights: Vec<Param>,
-    adam: Adam,
+    params: Params,
     adj: SharedCsr,
     inference: Option<Matrix>,
 }
@@ -82,14 +85,17 @@ impl ResidualFamilyGcn {
         }
         let n = ds.n_users() + ds.n_items();
         let t = cfg.embedding_dim;
-        let ego = Param::new(init::xavier_uniform(n, t, rng));
+        let ego = init::xavier_uniform(n, t, rng);
         let weights = if matches!(cfg.kind, ResidualKind::Vanilla) {
             (0..cfg.n_layers)
-                .map(|_| Param::new(init::xavier_uniform(t, t, rng)))
+                .map(|_| init::xavier_uniform(t, t, rng))
                 .collect()
         } else {
             Vec::new()
         };
+        let params = Params::new(cfg.learning_rate)
+            .with("ego", ego)
+            .with_list("weights", weights);
         // Vanilla GCN uses the self-loop re-normalized adjacency; the
         // linear variants use the LightGCN transition matrix.
         let adj = if matches!(cfg.kind, ResidualKind::Vanilla) {
@@ -97,24 +103,17 @@ impl ResidualFamilyGcn {
         } else {
             SharedCsr::new(ds.train().norm_adjacency())
         };
-        let adam = Adam::new(cfg.learning_rate);
         Self {
             cfg,
-            ego,
-            weights,
-            adam,
+            params,
             adj,
             inference: None,
         }
     }
 
-    fn forward(&self, tape: &mut Tape) -> (Var, Var, Vec<Var>) {
-        let x0 = tape.leaf(self.ego.value().clone());
-        let wv: Vec<Var> = self
-            .weights
-            .iter()
-            .map(|p| tape.leaf(p.value().clone()))
-            .collect();
+    fn forward(&self, tape: &mut Tape) -> (Var, Leaves) {
+        let on = self.params.leaves(tape);
+        let (x0, wv) = (on[EGO], on.group(WEIGHTS));
         let mut layers = vec![x0];
         let mut h = x0;
         // `wv` is empty for the linear kinds, so the index loop (not an
@@ -137,7 +136,7 @@ impl ResidualFamilyGcn {
             layers.push(h);
         }
         let final_x = mean_readout(tape, &layers);
-        (final_x, x0, wv)
+        (final_x, on)
     }
 }
 
@@ -154,35 +153,19 @@ impl Recommender for ResidualFamilyGcn {
 
     fn train_epoch(&mut self, ds: &Dataset, _epoch: usize, rng: &mut StdRng) -> EpochStats {
         self.inference = None;
-        let mut total = 0.0f64;
-        let mut n = 0usize;
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
         for batch in batches {
             let mut tape = Tape::new();
-            let (final_x, x0, wv) = self.forward(&mut tape);
-            let loss = bpr_loss(&mut tape, final_x, x0, ds.n_users(), &batch, self.cfg.lambda);
-            total += tape.scalar(loss) as f64;
-            n += 1;
-            tape.backward(loss);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(x0) {
-                self.adam.update(&mut self.ego, &g);
-            }
-            for (p, v) in self.weights.iter_mut().zip(&wv) {
-                if let Some(g) = tape.take_grad(*v) {
-                    self.adam.update(p, &g);
-                }
-            }
+            let (final_x, on) = self.forward(&mut tape);
+            let loss = bpr_loss(&mut tape, final_x, on[EGO], ds.n_users(), &batch, self.cfg.lambda);
+            self.params.step(&mut tape, loss, &on);
         }
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
+        self.params.end_epoch()
     }
 
     fn refresh(&mut self, _ds: &Dataset) {
         let mut tape = Tape::new();
-        let (final_x, _, _) = self.forward(&mut tape);
+        let (final_x, _) = self.forward(&mut tape);
         self.inference = Some(tape.value(final_x).clone());
     }
 
@@ -195,7 +178,7 @@ impl Recommender for ResidualFamilyGcn {
     }
 
     fn n_parameters(&self) -> usize {
-        self.ego.value().len() + self.weights.iter().map(|p| p.value().len()).sum::<usize>()
+        self.params.n_parameters()
     }
 }
 
@@ -247,7 +230,7 @@ mod tests {
         }
         let last = m.train_epoch(&ds, 10, &mut rng).loss;
         assert!(last < first, "{first} -> {last}");
-        assert!(m.n_parameters() > m.ego.value().len(), "vanilla must carry W");
+        assert!(m.n_parameters() > m.params.value(EGO).len(), "vanilla must carry W");
     }
 
     /// Eq. 23: the residual propagation equals propagation with Â + I.
@@ -262,15 +245,15 @@ mod tests {
         };
         let m = ResidualFamilyGcn::new(&ds, cfg, &mut rng);
         let mut tape = Tape::new();
-        let (_, x0, _) = m.forward(&mut tape);
-        let x0v = tape.value(x0).clone();
+        let (_, on) = m.forward(&mut tape);
+        let x0v = tape.value(on[EGO]).clone();
         // Manual (Â + I) X.
         let prop = m.adj.matrix().spmm(x0v.data(), x0v.cols());
         let manual = Matrix::from_vec(x0v.rows(), x0v.cols(), prop).add(&x0v);
         // Layer 1 = second half of the mean readout * 2 - x0 ... simpler:
         // recompute forward and read the final mean = (X0 + L1)/2.
         let mut tape2 = Tape::new();
-        let (f, _, _) = m.forward(&mut tape2);
+        let (f, _) = m.forward(&mut tape2);
         let fv = tape2.value(f);
         let mut expect = manual.add(&x0v);
         expect.scale(0.5);
@@ -290,7 +273,7 @@ mod tests {
         };
         let m = ResidualFamilyGcn::new(&ds, cfg, &mut rng);
         let mut tape = Tape::new();
-        let (f, x0, _) = m.forward(&mut tape);
-        assert!(tape.value(f).approx_eq(tape.value(x0), 1e-6));
+        let (f, on) = m.forward(&mut tape);
+        assert!(tape.value(f).approx_eq(tape.value(on[EGO]), 1e-6));
     }
 }

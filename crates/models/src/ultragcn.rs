@@ -10,11 +10,16 @@
 //! * item-item constraint `L_I`: for each positive `(u, i)`, pull `u` toward
 //!   the top-K co-occurring neighbours `j` of `i` with weight `ω_ij`.
 
+use crate::params::Params;
 use crate::traits::{EpochStats, Recommender};
 use lrgcn_data::{BprEpoch, Dataset};
-use lrgcn_tensor::{init, Adam, Matrix, Param, Tape};
+use lrgcn_tensor::{init, Matrix, Tape};
 use rand::rngs::StdRng;
 use std::rc::Rc;
+
+/// Parameter groups: the user and the item embedding tables.
+const USER: usize = 0;
+const ITEM: usize = 1;
 
 /// Hyper-parameters for [`UltraGcn`].
 #[derive(Clone, Debug)]
@@ -54,9 +59,7 @@ impl Default for UltraGcnConfig {
 /// The UltraGCN recommender.
 pub struct UltraGcn {
     cfg: UltraGcnConfig,
-    user_emb: Param,
-    item_emb: Param,
-    adam: Adam,
+    params: Params,
     /// β_ui building blocks.
     user_deg: Vec<f32>,
     item_deg: Vec<f32>,
@@ -93,17 +96,15 @@ pub fn build_item_neighbors(ds: &Dataset, topk: usize) -> Vec<Vec<(u32, f32)>> {
 
 impl UltraGcn {
     pub fn new(ds: &Dataset, cfg: UltraGcnConfig, rng: &mut StdRng) -> Self {
-        let user_emb = Param::new(init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng));
-        let item_emb = Param::new(init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng));
-        let adam = Adam::new(cfg.learning_rate);
+        let params = Params::new(cfg.learning_rate)
+            .with("user", init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng))
+            .with("item", init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng));
         let user_deg: Vec<f32> = ds.train().user_degrees().iter().map(|&d| d as f32).collect();
         let item_deg: Vec<f32> = ds.train().item_degrees().iter().map(|&d| d as f32).collect();
         let item_neighbors = build_item_neighbors(ds, cfg.item_topk);
         Self {
             cfg,
-            user_emb,
-            item_emb,
-            adam,
+            params,
             user_deg,
             item_deg,
             item_neighbors,
@@ -124,8 +125,6 @@ impl Recommender for UltraGcn {
     }
 
     fn train_epoch(&mut self, ds: &Dataset, _epoch: usize, rng: &mut StdRng) -> EpochStats {
-        let mut total = 0.0f64;
-        let mut n = 0usize;
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
         for batch in batches {
             let b = batch.len();
@@ -165,8 +164,8 @@ impl Recommender for UltraGcn {
                 .collect();
 
             let mut tape = Tape::new();
-            let p = tape.leaf(self.user_emb.value().clone());
-            let q = tape.leaf(self.item_emb.value().clone());
+            let on = self.params.leaves(&mut tape);
+            let (p, q) = (on[USER], on[ITEM]);
             // Positive part: Σ w⁺ softplus(-r̂).
             let pu = tape.gather(p, Rc::new(batch.users.clone()));
             let qi = tape.gather(q, Rc::new(batch.pos_items.clone()));
@@ -206,34 +205,20 @@ impl Recommender for UltraGcn {
             let regsum = tape.add(rp, rq);
             let reg = tape.mul_scalar(regsum, self.cfg.lambda / b.max(1) as f32);
             let full = tape.add(scaled, reg);
-            total += tape.scalar(full) as f64;
-            n += 1;
-            tape.backward(full);
-            self.adam.begin_step();
-            if let Some(g) = tape.take_grad(p) {
-                self.adam.update(&mut self.user_emb, &g);
-            }
-            if let Some(g) = tape.take_grad(q) {
-                self.adam.update(&mut self.item_emb, &g);
-            }
+            self.params.step(&mut tape, full, &on);
         }
-        EpochStats {
-            loss: if n > 0 { total / n as f64 } else { 0.0 },
-            n_batches: n,
-        }
+        self.params.end_epoch()
     }
 
     fn refresh(&mut self, _ds: &Dataset) {}
 
     fn score_users(&self, _ds: &Dataset, users: &[u32]) -> Matrix {
-        self.user_emb
-            .value()
-            .gather_rows(users)
-            .matmul_nt(self.item_emb.value())
+        let users = self.params.value(USER).gather_rows(users);
+        users.matmul_nt(self.params.value(ITEM))
     }
 
     fn n_parameters(&self) -> usize {
-        self.user_emb.value().len() + self.item_emb.value().len()
+        self.params.n_parameters()
     }
 }
 

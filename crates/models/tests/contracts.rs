@@ -1,9 +1,14 @@
 //! Contract tests every `Recommender` implementation must satisfy,
-//! exercised across the full model registry plus the SSL extension.
+//! exercised across the full model registry plus the models outside it:
+//! the SSL extension, the residual family and the learnable-weight
+//! LightGCN.
 
 use lrgcn_data::{Dataset, SplitRatios, SyntheticConfig};
 use lrgcn_models::layergcn_ssl::{LayerGcnSsl, LayerGcnSslConfig};
-use lrgcn_models::{ModelKind, Recommender};
+use lrgcn_models::{
+    LightGcnConfig, ModelKind, Recommender, ResidualFamilyGcn, ResidualGcnConfig, ResidualKind,
+    WeightedLightGcn,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,7 +29,65 @@ fn all_models(ds: &Dataset) -> Vec<Box<dyn Recommender>> {
         LayerGcnSslConfig::default(),
         &mut rng,
     )));
+    for kind in [
+        ResidualKind::Vanilla,
+        ResidualKind::Residual,
+        ResidualKind::InitialResidual { alpha: 0.1 },
+    ] {
+        let cfg = ResidualGcnConfig {
+            kind,
+            ..ResidualGcnConfig::default()
+        };
+        out.push(Box::new(ResidualFamilyGcn::new(ds, cfg, &mut StdRng::seed_from_u64(17))));
+    }
+    let mut rng = StdRng::seed_from_u64(17);
+    out.push(Box::new(WeightedLightGcn::new(ds, LightGcnConfig::default(), &mut rng)));
     out
+}
+
+/// Which optional trait capabilities each model has: `snapshot` (the
+/// trainer's best-epoch restore), `checkpoint_entries` (`train --save`,
+/// resume), `optim_state` (exact resume) and `set_learning_rate` (the
+/// divergence recovery's LR halving).
+const CAPABILITIES: [(&str, [bool; 4]); 16] = [
+    ("BPR", [true, false, false, false]),
+    ("MultiVAE", [false; 4]),
+    ("EHCF", [false; 4]),
+    ("BUIR", [false; 4]),
+    ("NGCF", [false; 4]),
+    ("LR-GCCF", [true; 4]),
+    ("LightGCN-4L", [true; 4]),
+    ("UltraGCN", [false; 4]),
+    ("IMP-GCN", [false; 4]),
+    ("LayerGCN (w/o Dropout)", [true; 4]),
+    ("LayerGCN (Full)", [true; 4]),
+    ("LayerGCN-SSL", [false; 4]),
+    ("GCN (vanilla)", [false; 4]),
+    ("GCN+residual", [false; 4]),
+    ("GCNII-style (α=0.1)", [false; 4]),
+    ("LightGCN-4L-learnable", [false; 4]),
+];
+
+#[test]
+fn capability_table_is_as_declared() {
+    let ds = dataset();
+    let got: Vec<(String, [bool; 4])> = all_models(&ds)
+        .into_iter()
+        .map(|mut m| {
+            let caps = [
+                m.snapshot().is_some(),
+                m.checkpoint_entries().is_some(),
+                m.optim_state().is_some(),
+                m.set_learning_rate(1e-3),
+            ];
+            (m.name(), caps)
+        })
+        .collect();
+    let want: Vec<(String, [bool; 4])> = CAPABILITIES
+        .iter()
+        .map(|&(name, caps)| (name.to_string(), caps))
+        .collect();
+    assert_eq!(got, want);
 }
 
 #[test]
