@@ -41,9 +41,11 @@ pub struct BprMf {
 
 impl BprMf {
     pub fn new(ds: &Dataset, cfg: BprMfConfig, rng: &mut StdRng) -> Self {
+        let users = init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng);
+        let items = init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng);
         let params = Params::new(cfg.learning_rate)
-            .with("user", init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng))
-            .with("item", init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng));
+            .with("user", users)
+            .with("item", items);
         Self { cfg, params }
     }
 

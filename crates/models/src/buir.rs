@@ -71,9 +71,10 @@ impl Buir {
         let n = ds.n_users() + ds.n_items();
         let online = init::xavier_uniform(n, cfg.embedding_dim, rng);
         let target = online.clone();
+        let predictor_w = init::xavier_uniform(cfg.embedding_dim, cfg.embedding_dim, rng);
         let params = Params::new(cfg.learning_rate)
             .with("online", online)
-            .with("predictor_w", init::xavier_uniform(cfg.embedding_dim, cfg.embedding_dim, rng))
+            .with("predictor_w", predictor_w)
             .with("predictor_b", Matrix::zeros(1, cfg.embedding_dim));
         let adj = full_adjacency(ds);
         Self {
@@ -154,7 +155,8 @@ impl Recommender for Buir {
             let loss = tape.mul_scalar(lsum, 1.0 / b);
             self.params.step(&mut tape, loss, &on);
             // EMA target update after each optimization step.
-            ema_update(&mut self.target, self.params.value(ONLINE), self.cfg.momentum);
+            let online = self.params.value(ONLINE);
+            ema_update(&mut self.target, online, self.cfg.momentum);
         }
         self.params.end_epoch()
     }

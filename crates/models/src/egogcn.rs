@@ -527,7 +527,8 @@ impl Recommender for EgoGcn {
             Propagation::Light => vec![1.0 / n_chain as f64; n_chain],
             Propagation::ResidualConcat => Vec::new(),
         };
-        Some(self.params.diagnostics(consecutive_smoothness(&chain), layer_weights))
+        let smoothness = consecutive_smoothness(&chain);
+        Some(self.params.diagnostics(smoothness, layer_weights))
     }
 }
 

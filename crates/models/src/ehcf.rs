@@ -63,9 +63,11 @@ impl Ehcf {
             (0.0..=1.0).contains(&cfg.negative_weight),
             "negative weight must be in [0, 1]"
         );
+        let users = init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng);
+        let items = init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng);
         let params = Params::new(cfg.learning_rate)
-            .with("user", init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng))
-            .with("item", init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng));
+            .with("user", users)
+            .with("item", items);
         Self { cfg, params }
     }
 }

@@ -231,7 +231,14 @@ impl Recommender for ImpGcn {
         for batch in batches {
             let mut tape = Tape::new();
             let (final_x, on, _) = self.forward(&mut tape, ds);
-            let loss = bpr_loss(&mut tape, final_x, on[EGO], ds.n_users(), &batch, self.cfg.lambda);
+            let loss = bpr_loss(
+                &mut tape,
+                final_x,
+                on[EGO],
+                ds.n_users(),
+                &batch,
+                self.cfg.lambda,
+            );
             self.params.step(&mut tape, loss, &on);
         }
         // Update the grouping MLP once per epoch with a lightweight
@@ -267,7 +274,8 @@ impl Recommender for ImpGcn {
         let chain: Vec<Matrix> = layer_embs.iter().map(|&v| tape.value(v).clone()).collect();
         // Mean readout: uniform weight over the layer chain.
         let uniform = vec![1.0 / chain.len() as f64; chain.len()];
-        Some(self.params.diagnostics(consecutive_smoothness(&chain), uniform))
+        let smoothness = consecutive_smoothness(&chain);
+        Some(self.params.diagnostics(smoothness, uniform))
     }
 }
 

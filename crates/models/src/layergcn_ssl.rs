@@ -247,7 +247,8 @@ impl Recommender for LayerGcnSsl {
             .iter()
             .map(|&s| tape.value(s).mean() as f64)
             .collect();
-        Some(self.params.diagnostics(consecutive_smoothness(&chain), layer_weights))
+        let smoothness = consecutive_smoothness(&chain);
+        Some(self.params.diagnostics(smoothness, layer_weights))
     }
 }
 

@@ -20,7 +20,7 @@
 //! | [`layergcn_ssl`] | LayerGCN + contrastive SSL (extension, §VI) | future work |
 //!
 //! All models implement [`traits::Recommender`] and train through one
-//! [`params::Params`]: their parameters, one Adam optimiser and one step.
+//! `params::Params`: their parameters, one Adam optimiser and one step.
 //! [`layergcn`] keeps the
 //! `layergcn::{LayerGcn, LayerGcnConfig, refined_chain}` import path.
 
@@ -38,7 +38,7 @@ pub mod layergcn_ssl;
 pub mod lightgcn;
 pub mod multivae;
 pub mod ngcf;
-pub mod params;
+mod params;
 pub mod registry;
 pub mod residual;
 pub mod traits;
@@ -63,7 +63,6 @@ pub use lightgcn::WeightedLightGcn;
 pub use multivae::{MultiVae, MultiVaeConfig};
 pub use ngcf::{Ngcf, NgcfConfig};
 pub use ultragcn::{UltraGcn, UltraGcnConfig};
-pub use params::{Leaves, Params};
 pub use registry::ModelKind;
 pub use residual::{ResidualFamilyGcn, ResidualGcnConfig, ResidualKind};
 pub use traits::{EpochStats, OptimState, Recommender};

@@ -124,7 +124,8 @@ impl Recommender for WeightedLightGcn {
         // The learned softmax readout weights — the Fig. 1 "solution
         // collapsing" trajectory when logged across epochs.
         let weights = self.layer_weights().iter().map(|&w| w as f64).collect();
-        Some(self.params.diagnostics(consecutive_smoothness(&chain), weights))
+        let smoothness = consecutive_smoothness(&chain);
+        Some(self.params.diagnostics(smoothness, weights))
     }
 }
 

@@ -69,7 +69,11 @@ impl Ngcf {
         let n = ds.n_users() + ds.n_items();
         let t = cfg.embedding_dim;
         let ego = init::xavier_uniform(n, t, rng);
-        let mut weights = || (0..cfg.n_layers).map(|_| init::xavier_uniform(t, t, rng)).collect();
+        let mut weights = || {
+            (0..cfg.n_layers)
+                .map(|_| init::xavier_uniform(t, t, rng))
+                .collect()
+        };
         let params = Params::new(cfg.learning_rate)
             .with("ego", ego)
             .with_list("w1", weights())
@@ -131,7 +135,14 @@ impl Recommender for Ngcf {
         for batch in batches {
             let mut tape = Tape::new();
             let NgcfForward { final_x, on, .. } = self.forward(&mut tape, Some(rng));
-            let loss = bpr_loss(&mut tape, final_x, on[EGO], ds.n_users(), &batch, self.cfg.lambda);
+            let loss = bpr_loss(
+                &mut tape,
+                final_x,
+                on[EGO],
+                ds.n_users(),
+                &batch,
+                self.cfg.lambda,
+            );
             self.params.step(&mut tape, loss, &on);
         }
         self.params.end_epoch()
@@ -162,7 +173,8 @@ impl Recommender for Ngcf {
         let fwd = self.forward(&mut tape, None);
         let chain: Vec<Matrix> = fwd.parts.iter().map(|&p| tape.value(p).clone()).collect();
         // Concatenation readout: no per-layer weighting.
-        Some(self.params.diagnostics(consecutive_smoothness(&chain), Vec::new()))
+        let smoothness = consecutive_smoothness(&chain);
+        Some(self.params.diagnostics(smoothness, Vec::new()))
     }
 }
 

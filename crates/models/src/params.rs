@@ -26,7 +26,7 @@ struct Group {
 /// A model's learnable parameters and their optimiser. Groups are
 /// addressed by declaration index; the first declared table is the
 /// model's primary embedding table.
-pub struct Params {
+pub(crate) struct Params {
     groups: Vec<Group>,
     adam: Adam,
     loss_sum: f64,
@@ -37,7 +37,7 @@ pub struct Params {
 
 /// The tape leaves of one forward pass, by group; a group left off the
 /// tape has none.
-pub struct Leaves(Vec<Vec<Var>>);
+pub(crate) struct Leaves(Vec<Vec<Var>>);
 
 impl Leaves {
     /// The leaves of a group of tables.
@@ -81,7 +81,10 @@ impl Params {
     }
 
     fn group(mut self, name: &'static str, values: Vec<(String, Matrix)>) -> Self {
-        let params = values.into_iter().map(|(n, v)| (n, Param::new(v))).collect();
+        let params = values
+            .into_iter()
+            .map(|(n, v)| (n, Param::new(v)))
+            .collect();
         self.groups.push(Group {
             name,
             params,
@@ -194,7 +197,11 @@ impl Params {
     /// # Panics
     /// On an arity or shape mismatch.
     pub fn restore(&mut self, values: Vec<Matrix>) {
-        assert_eq!(values.len(), self.params().count(), "snapshot arity mismatch");
+        assert_eq!(
+            values.len(),
+            self.params().count(),
+            "snapshot arity mismatch"
+        );
         for ((_, p), v) in self.params_mut().zip(values) {
             assert_eq!(v.shape(), p.value().shape(), "snapshot shape mismatch");
             p.set_value(v);
@@ -203,7 +210,9 @@ impl Params {
 
     /// Every parameter as a named checkpoint entry.
     pub fn entries(&self) -> Vec<(String, Matrix)> {
-        self.params().map(|(n, p)| (n.clone(), p.value().clone())).collect()
+        self.params()
+            .map(|(n, p)| (n.clone(), p.value().clone()))
+            .collect()
     }
 
     /// Loads every parameter from `entries`. Entries tagged for another
@@ -275,7 +284,10 @@ mod tests {
     fn two_groups() -> Params {
         Params::new(0.1)
             .with("a", Matrix::from_vec(2, 2, vec![1.0, -2.0, 3.0, 0.5]))
-            .with_list("w", vec![Matrix::full(1, 2, 0.25), Matrix::full(2, 1, -1.0)])
+            .with_list(
+                "w",
+                vec![Matrix::full(1, 2, 0.25), Matrix::full(2, 1, -1.0)],
+            )
     }
 
     /// `‖a‖² + Σ w.0 + Σ w.1` over whichever groups are on the tape.
@@ -287,7 +299,10 @@ mod tests {
         for &w in on.group(1) {
             terms.push(tape.sum(w));
         }
-        terms.into_iter().reduce(|x, y| tape.add(x, y)).expect("a term")
+        terms
+            .into_iter()
+            .reduce(|x, y| tape.add(x, y))
+            .expect("a term")
     }
 
     #[test]
@@ -295,6 +310,7 @@ mod tests {
         let mut params = two_groups();
         let mut hand: Vec<Param> = params.params().map(|(_, p)| p.clone()).collect();
         let mut adam = Adam::new(0.1);
+        let mut grad_sq = [0.0f64; 2];
         for _ in 0..3 {
             let mut tape = Tape::new();
             let on = params.leaves(&mut tape);
@@ -307,8 +323,9 @@ mod tests {
             let l = loss(&mut tape, &on);
             tape.backward(l);
             adam.begin_step();
-            for (p, &v) in hand.iter_mut().zip(&vars) {
+            for (i, (p, &v)) in hand.iter_mut().zip(&vars).enumerate() {
                 if let Some(g) = tape.take_grad(v) {
+                    grad_sq[i.min(1)] += grad_sq_norm(&g);
                     adam.update(p, &g);
                 }
             }
@@ -319,9 +336,11 @@ mod tests {
         }
         let stats = params.end_epoch();
         assert_eq!(stats.n_batches, 3);
-        let names: Vec<&str> = params.grad_groups.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["a", "w"]);
-        assert!(params.grad_groups.iter().all(|&(_, g)| g > 0.0));
+        let want = [("a", grad_sq[0].sqrt()), ("w", grad_sq[1].sqrt())];
+        let want: Vec<(String, f64)> = want.iter().map(|&(n, g)| (n.into(), g)).collect();
+        assert_eq!(params.grad_groups, want);
+        assert_eq!(params.end_epoch().n_batches, 0, "end_epoch resets the counts");
+        assert_eq!(params.grad_groups, [("a".into(), 0.0), ("w".into(), 0.0)]);
     }
 
     #[test]
@@ -353,7 +372,8 @@ mod tests {
         assert_eq!(names, ["a", "w.0", "w.1"]);
 
         let mut b = two_groups();
-        b.load_entries(&entries, "any").expect("untagged entries load");
+        b.load_entries(&entries, "any")
+            .expect("untagged entries load");
         b.load_optim_state(&a.optim_state()).expect("moments load");
         for p in [&mut a, &mut b] {
             let mut tape = Tape::new();
@@ -370,14 +390,25 @@ mod tests {
         let mut p = two_groups();
         let before = p.snapshot();
         let mut entries = p.entries();
-        entries.insert(0, (format!("{}other", crate::MODEL_TAG_PREFIX), Matrix::zeros(0, 0)));
-        let err = p.load_entries(&entries, "mine").expect_err("another family");
+        entries.insert(
+            0,
+            (
+                format!("{}other", crate::MODEL_TAG_PREFIX),
+                Matrix::zeros(0, 0),
+            ),
+        );
+        let err = p
+            .load_entries(&entries, "mine")
+            .expect_err("another family");
         assert!(err.contains("other") && err.contains("mine"), "{err}");
         let mut wrong = p.entries();
         wrong[2].1 = Matrix::zeros(3, 3);
         wrong[0].1 = Matrix::zeros(2, 2);
         assert!(p.load_entries(&wrong, "mine").is_err());
-        assert!(p.load_entries(&wrong[..1], "mine").is_err(), "missing entries");
+        assert!(
+            p.load_entries(&wrong[..1], "mine").is_err(),
+            "missing entries"
+        );
         assert_eq!(p.snapshot(), before);
     }
 

@@ -157,7 +157,14 @@ impl Recommender for ResidualFamilyGcn {
         for batch in batches {
             let mut tape = Tape::new();
             let (final_x, on) = self.forward(&mut tape);
-            let loss = bpr_loss(&mut tape, final_x, on[EGO], ds.n_users(), &batch, self.cfg.lambda);
+            let loss = bpr_loss(
+                &mut tape,
+                final_x,
+                on[EGO],
+                ds.n_users(),
+                &batch,
+                self.cfg.lambda,
+            );
             self.params.step(&mut tape, loss, &on);
         }
         self.params.end_epoch()
@@ -230,7 +237,10 @@ mod tests {
         }
         let last = m.train_epoch(&ds, 10, &mut rng).loss;
         assert!(last < first, "{first} -> {last}");
-        assert!(m.n_parameters() > m.params.value(EGO).len(), "vanilla must carry W");
+        assert!(
+            m.n_parameters() > m.params.value(EGO).len(),
+            "vanilla must carry W"
+        );
     }
 
     /// Eq. 23: the residual propagation equals propagation with Â + I.

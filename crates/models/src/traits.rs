@@ -101,15 +101,14 @@ pub trait Recommender: Sync {
 
     /// Copies the learnable parameters out, if the model supports in-memory
     /// snapshots (used by the trainer's best-epoch restoration). The default
-    /// is unsupported (`None`); a model that supports it forwards to
-    /// [`crate::params::Params::snapshot`], which derives the snapshot from
-    /// its declared parameters.
+    /// is unsupported (`None`). A model that supports it forwards to its
+    /// `Params::snapshot`, which copies every declared parameter.
     fn snapshot(&self) -> Option<Vec<Matrix>> {
         None
     }
 
-    /// Restores parameters captured by [`Recommender::snapshot`]
-    /// ([`crate::params::Params::restore`]).
+    /// Restores parameters captured by [`Recommender::snapshot`], through
+    /// `Params::restore`.
     ///
     /// # Panics
     /// Implementations panic on a shape/arity mismatch; the default panics
@@ -122,8 +121,8 @@ pub trait Recommender: Sync {
     /// checkpoint format (see `lrgcn_tensor::io`), or `None` for models
     /// without a stable format. Entry names are part of the format: they
     /// must stay readable by [`Recommender::load_checkpoint_entries`]
-    /// across versions. They derive from the declared parameter names
-    /// ([`crate::params::Params::entries`]).
+    /// across versions: `Params::entries` names them after the declared
+    /// parameters.
     fn checkpoint_entries(&self) -> Option<Vec<(String, Matrix)>> {
         None
     }
@@ -132,9 +131,8 @@ pub trait Recommender: Sync {
     /// [`Recommender::checkpoint_entries`] (extra entries, e.g. the
     /// `__model__:` tag, are ignored). Implementations must validate
     /// shapes, refuse another family's tag and invalidate any cached
-    /// inference state; [`crate::params::Params::load_entries`] does the
-    /// first two. The default rejects: the model has no stable checkpoint
-    /// format.
+    /// inference state; `Params::load_entries` does the first two. The
+    /// default rejects: the model has no stable checkpoint format.
     fn load_checkpoint_entries(&mut self, _entries: &[(String, Matrix)]) -> Result<(), String> {
         Err(format!("{} has no stable checkpoint format", self.name()))
     }
@@ -144,8 +142,8 @@ pub trait Recommender: Sync {
     /// when the model cannot support exact resume. Models that implement
     /// [`Recommender::checkpoint_entries`] should implement this too —
     /// without the moments a resumed run diverges from the uninterrupted
-    /// trajectory on the first post-resume step. Derived by
-    /// [`crate::params::Params::optim_state`].
+    /// trajectory on the first post-resume step. `Params::optim_state`
+    /// derives it from the declared parameters.
     fn optim_state(&self) -> Option<OptimState> {
         None
     }
@@ -153,16 +151,16 @@ pub trait Recommender: Sync {
     /// Restores optimizer state captured by [`Recommender::optim_state`].
     /// Call *after* [`Recommender::load_checkpoint_entries`]: restoring
     /// parameter values may reset moments, and moment shapes are validated
-    /// against the current parameters ([`crate::params::Params::load_optim_state`]).
-    /// The default rejects.
+    /// against the current parameters by `Params::load_optim_state`. The
+    /// default rejects.
     fn load_optim_state(&mut self, _state: &OptimState) -> Result<(), String> {
         Err(format!("{} does not support optimizer-state resume", self.name()))
     }
 
     /// Overrides the learning rate for subsequent epochs (used by the
     /// trainer's divergence recovery to halve it after a rollback, through
-    /// [`crate::params::Params::set_learning_rate`]). Returns `false` when
-    /// the model does not support it.
+    /// `Params::set_learning_rate`). Returns `false` when the model does
+    /// not support it.
     fn set_learning_rate(&mut self, _lr: f32) -> bool {
         false
     }

@@ -96,9 +96,11 @@ pub fn build_item_neighbors(ds: &Dataset, topk: usize) -> Vec<Vec<(u32, f32)>> {
 
 impl UltraGcn {
     pub fn new(ds: &Dataset, cfg: UltraGcnConfig, rng: &mut StdRng) -> Self {
+        let users = init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng);
+        let items = init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng);
         let params = Params::new(cfg.learning_rate)
-            .with("user", init::xavier_uniform(ds.n_users(), cfg.embedding_dim, rng))
-            .with("item", init::xavier_uniform(ds.n_items(), cfg.embedding_dim, rng));
+            .with("user", users)
+            .with("item", items);
         let user_deg: Vec<f32> = ds.train().user_degrees().iter().map(|&d| d as f32).collect();
         let item_deg: Vec<f32> = ds.train().item_degrees().iter().map(|&d| d as f32).collect();
         let item_neighbors = build_item_neighbors(ds, cfg.item_topk);

@@ -38,10 +38,18 @@ fn all_models(ds: &Dataset) -> Vec<Box<dyn Recommender>> {
             kind,
             ..ResidualGcnConfig::default()
         };
-        out.push(Box::new(ResidualFamilyGcn::new(ds, cfg, &mut StdRng::seed_from_u64(17))));
+        out.push(Box::new(ResidualFamilyGcn::new(
+            ds,
+            cfg,
+            &mut StdRng::seed_from_u64(17),
+        )));
     }
     let mut rng = StdRng::seed_from_u64(17);
-    out.push(Box::new(WeightedLightGcn::new(ds, LightGcnConfig::default(), &mut rng)));
+    out.push(Box::new(WeightedLightGcn::new(
+        ds,
+        LightGcnConfig::default(),
+        &mut rng,
+    )));
     out
 }
 

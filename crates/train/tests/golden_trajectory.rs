@@ -184,7 +184,11 @@ const SCORE_PINS: [ScorePin; 16] = [
     },
     ScorePin {
         model: "EHCF",
-        loss: [0.0038172982167452574, -0.005266718100756407, -0.014302206225693226],
+        loss: [
+            0.0038172982167452574,
+            -0.005266718100756407,
+            -0.014302206225693226,
+        ],
         recall: [0.698170731707317, 0.698170731707317, 0.6951219512195121],
         score_hash: 0xa06d670ea8c8b70c,
     },
@@ -404,8 +408,16 @@ fn build_pinned(label: &str, ds: &Dataset, rng: &mut StdRng) -> Box<dyn Recommen
         ..ResidualGcnConfig::default()
     };
     match label {
-        "GCN (vanilla)" => Box::new(ResidualFamilyGcn::new(ds, residual(ResidualKind::Vanilla), rng)),
-        "GCN+residual" => Box::new(ResidualFamilyGcn::new(ds, residual(ResidualKind::Residual), rng)),
+        "GCN (vanilla)" => Box::new(ResidualFamilyGcn::new(
+            ds,
+            residual(ResidualKind::Vanilla),
+            rng,
+        )),
+        "GCN+residual" => Box::new(ResidualFamilyGcn::new(
+            ds,
+            residual(ResidualKind::Residual),
+            rng,
+        )),
         "GCNII-style" => Box::new(ResidualFamilyGcn::new(
             ds,
             residual(ResidualKind::InitialResidual { alpha: 0.1 }),
@@ -593,12 +605,19 @@ fn every_trained_model_matches_its_pinned_scores() {
         return;
     }
     let labels: Vec<&str> = SCORE_PINS.iter().map(|p| p.model).collect();
-    assert_eq!(labels, pinned_labels(), "one pin per trained model, in order");
+    assert_eq!(
+        labels,
+        pinned_labels(),
+        "one pin per trained model, in order"
+    );
     let mut failures = Vec::new();
     for pin in &SCORE_PINS {
         let t = scored_run(pin.model);
         if t.losses != pin.loss {
-            failures.push(format!("{}: loss {:?} != golden {:?}", pin.model, t.losses, pin.loss));
+            failures.push(format!(
+                "{}: loss {:?} != golden {:?}",
+                pin.model, t.losses, pin.loss
+            ));
         }
         if t.recalls != pin.recall {
             failures.push(format!(
