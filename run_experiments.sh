@@ -1,7 +1,7 @@
 #!/bin/bash
 # Regenerates every table/figure of the paper into results/.
 set -u
-cd /root/repo
+cd "$(dirname "$0")"
 BIN="cargo run -q -p lrgcn-bench --release --bin"
 run() { echo "=== $* ==="; local name=$1; shift; $BIN $name -- "$@" > results/$name${SUFFIX:-}.txt 2>&1; echo "--- $name done ($(date +%T))"; }
 run exp_table1
