@@ -11,7 +11,10 @@
 //! LightGCN and LayerGCN-SSL — is pinned by its exact per-epoch loss,
 //! validation Recall@20 and a hash of the bits of its `score_users` over
 //! every user, since not every model has `final_embeddings`
-//! ([`SCORE_PINS`]). Any future kernel rewrite,
+//! ([`SCORE_PINS`]). The ego-table models are pinned the same way on a
+//! cold catalogue where most nodes, items included, have no training edge
+//! ([`COLD_PINS`]), so batches that draw edgeless negatives are covered
+//! too. Any future kernel rewrite,
 //! parallelization change, optimizer tweak or model refactor that silently
 //! perturbs the numerics fails here instead of shipping — the kernels are
 //! contractually bitwise identical across thread counts, so this test
@@ -25,6 +28,7 @@
 //! ```
 
 use lrgcn_data::{Dataset, SplitRatios, SyntheticConfig};
+use lrgcn_graph::EdgePruner;
 use lrgcn_models::traits::{EpochStats, ModelDiagnostics};
 use lrgcn_models::{
     LayerGcn, LayerGcnConfig, LayerGcnSsl, LayerGcnSslConfig, LightGcn, LightGcnConfig, LrGccf,
@@ -272,6 +276,58 @@ const SCORE_PINS: [ScorePin; 16] = [
     },
 ];
 
+/// The ego-table models on [`cold_fixture`], where most nodes have no
+/// training edge, at batch size [`COLD_BATCH`]. Captured like
+/// [`SCORE_PINS`].
+const COLD_PINS: [ScorePin; 5] = [
+    ScorePin {
+        model: "LayerGCN-w/o",
+        loss: [0.6933796405792236, 0.6930124163627625, 0.6923674941062927],
+        recall: [
+            0.08333333333333333,
+            0.10119047619047618,
+            0.17261904761904762,
+        ],
+        score_hash: 0x6e30a03cff693ce1,
+    },
+    ScorePin {
+        model: "LayerGCN-Full",
+        loss: [0.6933982968330383, 0.6930479407310486, 0.6923254132270813],
+        recall: [
+            0.08333333333333333,
+            0.11904761904761904,
+            0.17261904761904762,
+        ],
+        score_hash: 0x81c1af39e406024b,
+    },
+    ScorePin {
+        model: "LayerGCN-DropEdge",
+        loss: [0.6933306753635406, 0.6931828558444977, 0.6929311156272888],
+        recall: [
+            0.10119047619047618,
+            0.10119047619047618,
+            0.19047619047619047,
+        ],
+        score_hash: 0x307467c150557bcb,
+    },
+    ScorePin {
+        model: "LightGCN",
+        loss: [0.6879963874816895, 0.6867920160293579, 0.6857423186302185],
+        recall: [
+            0.21428571428571427,
+            0.32142857142857145,
+            0.39285714285714285,
+        ],
+        score_hash: 0x7d590e8c91b7bdae,
+    },
+    ScorePin {
+        model: "LR-GCCF",
+        loss: [0.3332325667142868, 0.2821802645921707, 0.24220683425664902],
+        recall: [0.19642857142857142, 0.25, 0.35714285714285715],
+        score_hash: 0xaf5ecd40465a23ab,
+    },
+];
+
 /// One seeded run: per-epoch loss, validation recall, the history's
 /// per-layer values, each epoch's `diagnostics().smoothness`, and the hash
 /// of the final embedding table.
@@ -326,17 +382,31 @@ fn bits_hash(m: &Matrix) -> u64 {
     h
 }
 
-/// Trains one model for [`EPOCHS`] and hashes the table `hashed` reads
-/// from it afterwards.
+/// The fixture every pin except [`COLD_PINS`] trains on.
+fn mooc_fixture() -> Dataset {
+    let log = SyntheticConfig::mooc().scaled(0.25).generate(11);
+    Dataset::chronological_split("mooc-golden", &log, SplitRatios::default())
+}
+
+/// Trains one model on the MOOC fixture for [`EPOCHS`] and hashes the
+/// table `hashed` reads from it afterwards.
 fn run_family<M: Recommender + ?Sized>(
     build: impl FnOnce(&Dataset, &mut StdRng) -> Box<M>,
     hashed: impl FnOnce(&mut M, &Dataset) -> Matrix,
 ) -> Trajectory {
-    let log = SyntheticConfig::mooc().scaled(0.25).generate(11);
-    let ds = Dataset::chronological_split("mooc-golden", &log, SplitRatios::default());
+    run_on(&mooc_fixture(), build, hashed)
+}
+
+/// Trains one model on `ds` for [`EPOCHS`] and hashes the table `hashed`
+/// reads from it afterwards.
+fn run_on<M: Recommender + ?Sized>(
+    ds: &Dataset,
+    build: impl FnOnce(&Dataset, &mut StdRng) -> Box<M>,
+    hashed: impl FnOnce(&mut M, &Dataset) -> Matrix,
+) -> Trajectory {
     let mut rng = StdRng::seed_from_u64(2023);
     let mut model = Probe {
-        inner: build(&ds, &mut rng),
+        inner: build(ds, &mut rng),
         smoothness: Mutex::new(Vec::new()),
     };
     let cfg = TrainConfig {
@@ -350,7 +420,7 @@ fn run_family<M: Recommender + ?Sized>(
         record_diagnostics: true,
         ..Default::default()
     };
-    let out = train_with_early_stopping(&mut model, &ds, &cfg);
+    let out = train_with_early_stopping(&mut model, ds, &cfg);
     let recalls: Vec<f64> = out.history.val_curve().iter().map(|&(_, r)| r).collect();
     let layer_values: Vec<Vec<f64>> = out
         .history
@@ -363,7 +433,7 @@ fn run_family<M: Recommender + ?Sized>(
         recalls,
         layer_values,
         smoothness: model.smoothness.into_inner().unwrap(),
-        emb_hash: bits_hash(&hashed(&mut model.inner, &ds)),
+        emb_hash: bits_hash(&hashed(&mut model.inner, ds)),
     }
 }
 
@@ -442,15 +512,80 @@ fn pinned_labels() -> Vec<&'static str> {
     labels
 }
 
+/// `score_users` over every user, after a refresh.
+fn all_user_scores(m: &mut (dyn Recommender + 'static), ds: &Dataset) -> Matrix {
+    m.refresh(ds);
+    let users: Vec<u32> = (0..ds.n_users() as u32).collect();
+    m.score_users(ds, &users)
+}
+
 /// One pinned run, hashing `score_users` over every user after a refresh.
 fn scored_run(label: &str) -> Trajectory {
-    run_family(
-        |ds, rng| build_pinned(label, ds, rng),
-        |m, ds| {
-            m.refresh(ds);
-            let users: Vec<u32> = (0..ds.n_users() as u32).collect();
-            m.score_users(ds, &users)
-        },
+    run_family(|ds, rng| build_pinned(label, ds, rng), all_user_scores)
+}
+
+/// A cold catalogue: most nodes have no training edge, items as well as
+/// users, so batches draw edgeless negatives. The MOOC fixture has no
+/// edgeless item.
+fn cold_fixture() -> Dataset {
+    let cfg = SyntheticConfig {
+        name: "Cold",
+        n_users: 100,
+        n_items: 1000,
+        n_interactions: 1200,
+        ..SyntheticConfig::yelp()
+    };
+    Dataset::chronological_split("cold-golden", &cfg.generate(11), SplitRatios::default())
+}
+
+/// Batch size of every [`COLD_PINS`] run: several batches per epoch.
+const COLD_BATCH: usize = 256;
+
+/// Builds the ego-table model a [`COLD_PINS`] label names.
+fn build_cold(label: &str, ds: &Dataset, rng: &mut StdRng) -> Box<dyn Recommender> {
+    let layergcn = |pruner| LayerGcnConfig {
+        pruner,
+        batch_size: COLD_BATCH,
+        ..LayerGcnConfig::default()
+    };
+    match label {
+        "LayerGCN-w/o" => Box::new(LayerGcn::new(ds, layergcn(EdgePruner::None), rng)),
+        "LayerGCN-Full" => Box::new(LayerGcn::new(
+            ds,
+            layergcn(EdgePruner::DegreeDrop { ratio: 0.1 }),
+            rng,
+        )),
+        "LayerGCN-DropEdge" => Box::new(LayerGcn::new(
+            ds,
+            layergcn(EdgePruner::DropEdge { ratio: 0.3 }),
+            rng,
+        )),
+        "LightGCN" => Box::new(LightGcn::new(
+            ds,
+            LightGcnConfig {
+                batch_size: COLD_BATCH,
+                ..LightGcnConfig::default()
+            },
+            rng,
+        )),
+        "LR-GCCF" => Box::new(LrGccf::new(
+            ds,
+            LrGccfConfig {
+                batch_size: COLD_BATCH,
+                ..LrGccfConfig::default()
+            },
+            rng,
+        )),
+        other => panic!("no cold pin is labelled {other:?}"),
+    }
+}
+
+/// One cold-fixture run, hashing `score_users` over every user.
+fn cold_run(label: &str) -> Trajectory {
+    run_on(
+        &cold_fixture(),
+        |ds, rng| build_cold(label, ds, rng),
+        all_user_scores,
     )
 }
 
@@ -478,7 +613,9 @@ fn check_rows<const N: usize>(
         assert_eq!(row.len(), N, "{what}: layer count changed");
         for (l, (&g, &w)) in row.iter().zip(golden).enumerate() {
             if (g - w).abs() > TOL {
-                failures.push(format!("epoch {e} layer {l} {what} {g:.9} != golden {w:.9}"));
+                failures.push(format!(
+                    "epoch {e} layer {l} {what} {g:.9} != golden {w:.9}"
+                ));
             }
         }
     }
@@ -519,8 +656,14 @@ fn check_run<const N: usize>(
     if !failures.is_empty() {
         // The word below is the tripwire scripts/verify.sh greps for; it
         // must appear on stderr only when the trajectory actually diverges.
-        eprintln!("{family}: numeric drift detected:\n  {}", failures.join("\n  "));
-        panic!("{family} golden trajectory mismatch ({} deviations)", failures.len());
+        eprintln!(
+            "{family}: numeric drift detected:\n  {}",
+            failures.join("\n  ")
+        );
+        panic!(
+            "{family} golden trajectory mismatch ({} deviations)",
+            failures.len()
+        );
     }
 }
 
@@ -531,12 +674,21 @@ fn layergcn_mooc_trajectory_matches_golden_values() {
         print_run("LAYERGCN", &t);
         return;
     }
-    assert_eq!(t.layer_values.len(), EPOCHS, "every epoch validates, so every epoch probes");
+    assert_eq!(
+        t.layer_values.len(),
+        EPOCHS,
+        "every epoch validates, so every epoch probes"
+    );
     check_run(
         "LayerGCN",
         &t,
         &t.layer_values,
-        (&GOLDEN_LOSS, &GOLDEN_RECALL, &GOLDEN_SIMS, GOLDEN_LAYERGCN_EMB_HASH),
+        (
+            &GOLDEN_LOSS,
+            &GOLDEN_RECALL,
+            &GOLDEN_SIMS,
+            GOLDEN_LAYERGCN_EMB_HASH,
+        ),
     );
 }
 
@@ -590,29 +742,21 @@ fn trajectory_is_reproducible_within_one_build() {
     }
 }
 
-#[test]
-fn every_trained_model_matches_its_pinned_scores() {
-    if printing() {
-        for label in pinned_labels() {
-            let t = scored_run(label);
-            println!("    ScorePin {{");
-            println!("        model: {label:?},");
-            println!("        loss: {:?},", t.losses);
-            println!("        recall: {:?},", t.recalls);
-            println!("        score_hash: {:#018x},", t.emb_hash);
-            println!("    }},");
-        }
-        return;
-    }
-    let labels: Vec<&str> = SCORE_PINS.iter().map(|p| p.model).collect();
-    assert_eq!(
-        labels,
-        pinned_labels(),
-        "one pin per trained model, in order"
-    );
+/// Prints one [`ScorePin`] in the form the pin tables hold.
+fn print_pin(label: &str, t: &Trajectory) {
+    println!("    ScorePin {{");
+    println!("        model: {label:?},");
+    println!("        loss: {:?},", t.losses);
+    println!("        recall: {:?},", t.recalls);
+    println!("        score_hash: {:#018x},", t.emb_hash);
+    println!("    }},");
+}
+
+/// Runs every pin of `pins` with `run` and fails on any deviation.
+fn check_pins(pins: &[ScorePin], run: impl Fn(&str) -> Trajectory) {
     let mut failures = Vec::new();
-    for pin in &SCORE_PINS {
-        let t = scored_run(pin.model);
+    for pin in pins {
+        let t = run(pin.model);
         if t.losses != pin.loss {
             failures.push(format!(
                 "{}: loss {:?} != golden {:?}",
@@ -637,4 +781,55 @@ fn every_trained_model_matches_its_pinned_scores() {
         eprintln!("numeric drift detected:\n  {}", failures.join("\n  "));
         panic!("{} pinned score deviations", failures.len());
     }
+}
+
+#[test]
+fn every_trained_model_matches_its_pinned_scores() {
+    if printing() {
+        for label in pinned_labels() {
+            print_pin(label, &scored_run(label));
+        }
+        return;
+    }
+    let labels: Vec<&str> = SCORE_PINS.iter().map(|p| p.model).collect();
+    assert_eq!(
+        labels,
+        pinned_labels(),
+        "one pin per trained model, in order"
+    );
+    check_pins(&SCORE_PINS, scored_run);
+}
+
+/// The cold pins mean something only while most nodes are edgeless.
+#[test]
+fn cold_fixture_is_mostly_edgeless() {
+    let ds = cold_fixture();
+    let degrees = ds.train().node_degrees();
+    let dead_users = degrees[..ds.n_users()].iter().filter(|&&d| d == 0).count();
+    let dead_items = degrees[ds.n_users()..].iter().filter(|&&d| d == 0).count();
+    if printing() {
+        println!(
+            "COLD: {dead_users} of {} users and {dead_items} of {} items edgeless",
+            ds.n_users(),
+            ds.n_items()
+        );
+    }
+    assert!(
+        2 * (dead_users + dead_items) > degrees.len(),
+        "{} of {} nodes edgeless",
+        dead_users + dead_items,
+        degrees.len()
+    );
+    assert!(dead_items > 0, "the cold fixture must have edgeless items");
+}
+
+#[test]
+fn ego_table_models_match_their_cold_pins() {
+    if printing() {
+        for pin in &COLD_PINS {
+            print_pin(pin.model, &cold_run(pin.model));
+        }
+        return;
+    }
+    check_pins(&COLD_PINS, cold_run);
 }
