@@ -139,6 +139,20 @@ impl Csr {
         }
     }
 
+    /// This matrix with `extra` empty rows and `extra` columns appended.
+    pub fn with_empty_rows(&self, extra: usize) -> Self {
+        let mut indptr = Vec::with_capacity(self.indptr.len() + extra);
+        indptr.extend_from_slice(&self.indptr);
+        indptr.resize(self.indptr.len() + extra, self.nnz());
+        Self {
+            n_rows: self.n_rows + extra,
+            n_cols: self.n_cols + extra,
+            indptr,
+            indices: self.indices.clone(),
+            values: self.values.clone(),
+        }
+    }
+
     /// The `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
         Self {
@@ -532,6 +546,16 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn from_coo_rejects_out_of_bounds() {
         let _ = Csr::from_coo(2, 2, vec![(0, 2, 1.0)]);
+    }
+
+    #[test]
+    fn with_empty_rows_appends_empty_rows_and_columns() {
+        let m = sample().with_empty_rows(2);
+        assert_eq!((m.n_rows(), m.n_cols(), m.nnz()), (5, 5, 4));
+        assert!(m.validate().is_ok());
+        assert_eq!((m.row_nnz(3), m.row_nnz(4)), (0, 0));
+        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(m.spmm(&x, 1), vec![7.0, 0.0, 11.0, 0.0, 0.0]);
     }
 
     #[test]

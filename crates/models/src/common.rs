@@ -54,7 +54,20 @@ pub fn bpr_loss(
     batch: &BprBatch,
     lambda: f32,
 ) -> Var {
-    let (u_idx, i_idx, j_idx) = batch_node_indices(batch, n_users);
+    bpr_loss_at(tape, final_x, ego, batch_node_indices(batch, n_users), lambda)
+}
+
+/// [`bpr_loss`] with the batch's users, positives and negatives given as
+/// row indices into `final_x` and `ego`, for tables that hold only some
+/// nodes, in any row order.
+pub fn bpr_loss_at(
+    tape: &mut Tape,
+    final_x: Var,
+    ego: Var,
+    (u_idx, i_idx, j_idx): (SharedIndices, SharedIndices, SharedIndices),
+    lambda: f32,
+) -> Var {
+    let batch_len = u_idx.len();
     let eu = tape.gather(final_x, Rc::clone(&u_idx));
     let ei = tape.gather(final_x, Rc::clone(&i_idx));
     let ej = tape.gather(final_x, Rc::clone(&j_idx));
@@ -73,7 +86,7 @@ pub fn bpr_loss(
         let rj = tape.sq_frobenius(e0j);
         let r1 = tape.add(ru, ri);
         let r2 = tape.add(r1, rj);
-        let reg = tape.mul_scalar(r2, lambda / batch.len().max(1) as f32);
+        let reg = tape.mul_scalar(r2, lambda / batch_len.max(1) as f32);
         tape.add(bpr, reg)
     } else {
         bpr

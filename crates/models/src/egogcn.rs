@@ -14,21 +14,26 @@
 //! similarity to the ego layer, `X^{l+1} ← (Sim(X^{l+1}, X^0) + ε) ⊙
 //! X^{l+1}`, and feeds the *refined* layer to the next hop. Each training
 //! epoch propagates over an adjacency `Â_p` pruned by the configured
-//! [`EdgePruner`] (Eq. 5); inference uses the full `Â`.
+//! [`EdgePruner`] (Eq. 5); inference uses the full `Â`. A training step
+//! computes only the rows its loss can reach: the epoch's nodes with an
+//! edge plus the batch's own ids, bitwise what the full graph gives them
+//! ([`LiveView`]).
 //! [`LayerGcnConfig`], [`LightGcnConfig`] and [`LrGccfConfig`] stay the
 //! public way to configure each model.
 
 use crate::common::{
-    bpr_loss, consecutive_smoothness, full_adjacency, mean_readout, score_from_final, sum_readout,
+    batch_node_indices, bpr_loss_at, consecutive_smoothness, full_adjacency, mean_readout,
+    score_from_final, sum_readout, SharedIndices,
 };
 use crate::params::Params;
 use crate::traits::{EpochStats, ModelDiagnostics, OptimState, Recommender};
-use lrgcn_data::{BprEpoch, Dataset};
-use lrgcn_graph::EdgePruner;
+use lrgcn_data::{BprBatch, BprEpoch, Dataset};
+use lrgcn_graph::{Csr, EdgePruner};
 use lrgcn_tensor::io::IoError;
 use lrgcn_tensor::tape::{SharedCsr, Tape, Var};
 use lrgcn_tensor::{init, Matrix};
 use rand::rngs::StdRng;
+use std::rc::Rc;
 
 /// The ego table `X^0`, the one parameter group.
 const EGO: usize = 0;
@@ -128,6 +133,112 @@ pub fn refined_chain(
         sims.push(sim);
     }
     (layers, sims)
+}
+
+/// The view row of a node with no edge.
+const NO_ROW: u32 = u32::MAX;
+
+/// One epoch's adjacency over the nodes that have an edge in it, relabelled
+/// in ascending id order. A CSR row keeps its values and its column order,
+/// so each live row's SpMM sum is bitwise the full graph's; the nnz is the
+/// same. A training step needs no other rows except the batch's own
+/// edgeless ids, which [`LiveView::batch`] appends (DESIGN.md, "Live
+/// view").
+struct LiveView {
+    adj: SharedCsr,
+    /// The node of each view row, ascending.
+    ids: Vec<u32>,
+    /// The view row of each node, or [`NO_ROW`].
+    row_of: Vec<u32>,
+}
+
+/// One batch's rows: the live view plus the batch's edgeless ids, appended
+/// as empty rows so their layers are what the full graph gives them.
+struct BatchView {
+    adj: SharedCsr,
+    /// The node of each row; `X^0` is gathered by it.
+    ids: SharedIndices,
+    /// The batch's users, positives and negatives as rows of the view.
+    rows: (SharedIndices, SharedIndices, SharedIndices),
+}
+
+impl LiveView {
+    fn new(adj: &SharedCsr) -> Self {
+        let m = adj.matrix();
+        let mut live: Vec<bool> = (0..m.n_rows()).map(|r| m.row_nnz(r) > 0).collect();
+        for &c in m.indices() {
+            live[c as usize] = true;
+        }
+        let ids: Vec<u32> = (0..m.n_rows() as u32)
+            .filter(|&v| live[v as usize])
+            .collect();
+        let mut row_of = vec![NO_ROW; m.n_rows()];
+        for (k, &v) in ids.iter().enumerate() {
+            row_of[v as usize] = k as u32;
+        }
+        let adj = adj.map(|m| restrict(m, &ids, &row_of));
+        Self { adj, ids, row_of }
+    }
+
+    /// The rows `batch` reads: the live view, then each of the batch's
+    /// edgeless nodes once, in order of first appearance.
+    fn batch(&mut self, batch: &BprBatch, n_users: usize) -> BatchView {
+        let (users, pos, neg) = batch_node_indices(batch, n_users);
+        let mut ids = self.ids.clone();
+        let rows = (
+            self.rows_of(&users, &mut ids),
+            self.rows_of(&pos, &mut ids),
+            self.rows_of(&neg, &mut ids),
+        );
+        let extra = ids.len() - self.ids.len();
+        for &v in &ids[self.ids.len()..] {
+            self.row_of[v as usize] = NO_ROW;
+        }
+        let adj = match extra {
+            0 => self.adj.clone(),
+            _ => self.adj.map(|m| m.with_empty_rows(extra)),
+        };
+        BatchView {
+            adj,
+            ids: Rc::new(ids),
+            rows,
+        }
+    }
+
+    /// The view rows of `nodes`; an edgeless node gets the next row of
+    /// `ids` the first time it is seen.
+    fn rows_of(&mut self, nodes: &[u32], ids: &mut Vec<u32>) -> SharedIndices {
+        let rows = nodes
+            .iter()
+            .map(|&v| {
+                let row = &mut self.row_of[v as usize];
+                if *row == NO_ROW {
+                    *row = ids.len() as u32;
+                    ids.push(v);
+                }
+                *row
+            })
+            .collect();
+        Rc::new(rows)
+    }
+}
+
+/// Rows and columns `ids` of `m`, renumbered by `row_of`. Every column of a
+/// kept row must be kept; ascending `ids` keep each row's column order.
+fn restrict(m: &Csr, ids: &[u32], row_of: &[u32]) -> Csr {
+    let mut indptr = Vec::with_capacity(ids.len() + 1);
+    let mut indices = Vec::with_capacity(m.nnz());
+    let mut values = Vec::with_capacity(m.nnz());
+    indptr.push(0);
+    for &v in ids {
+        for (c, x) in m.row(v as usize) {
+            indices.push(row_of[c as usize]);
+            values.push(x);
+        }
+        indptr.push(indices.len());
+    }
+    Csr::from_parts(ids.len(), ids.len(), indptr, indices, values)
+        .expect("a monotone relabelling keeps the CSR invariants")
 }
 
 /// Hyper-parameters of an [`EgoGcn`]; build one from a family config.
@@ -415,19 +526,25 @@ impl Recommender for EgoGcn {
     fn train_epoch(&mut self, ds: &Dataset, epoch: usize, rng: &mut StdRng) -> EpochStats {
         self.inference = None;
         // Re-sample the pruned adjacency once per epoch (§III-B1).
-        let adj_epoch = match self.cfg.pruner.sample_edges(ds.train(), epoch, rng) {
-            Some(edges) => SharedCsr::new(ds.train().norm_adjacency_of_edges(&edges)),
-            None => self.adj_full.clone(),
+        let mut live = {
+            let adj = match self.cfg.pruner.sample_edges(ds.train(), epoch, rng) {
+                Some(edges) => SharedCsr::new(ds.train().norm_adjacency_of_edges(&edges)),
+                None => self.adj_full.clone(),
+            };
+            LiveView::new(&adj)
         };
         let propagation = self.cfg.propagation;
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
         for batch in batches {
+            let view = live.batch(&batch, ds.n_users());
             let mut tape = Tape::new();
             let on = self.params.leaves(&mut tape);
-            let x0 = on[EGO];
-            let (layers, _) = propagation.chain(&mut tape, &adj_epoch, x0, self.cfg.n_layers);
+            // The gather is X^0's only consumer, so the table's gradient
+            // sums its terms in the full graph's order (DESIGN.md).
+            let x0 = tape.gather(on[EGO], view.ids);
+            let (layers, _) = propagation.chain(&mut tape, &view.adj, x0, self.cfg.n_layers);
             let final_x = propagation.readout(&mut tape, &layers);
-            let loss = bpr_loss(&mut tape, final_x, x0, ds.n_users(), &batch, self.cfg.lambda);
+            let loss = bpr_loss_at(&mut tape, final_x, x0, view.rows, self.cfg.lambda);
             self.params.step(&mut tape, loss, &on);
         }
         self.params.end_epoch()
@@ -535,10 +652,10 @@ impl Recommender for EgoGcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::propagate_matrix;
+    use crate::common::{bpr_loss, propagate_matrix};
     use crate::test_util::{tiny_dataset, train_and_eval};
     use lrgcn_eval::oversmooth::mean_layer_divergence;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng, SplitMix64};
 
     /// Every family member, by the config type its callers use.
     fn family() -> Vec<(&'static str, EgoGcnConfig)> {
@@ -727,6 +844,145 @@ mod tests {
             m2.refresh(&ds);
             assert!(m2.score_users(&ds, &[0, 1]).approx_eq(&before, 0.0), "{label}");
             std::fs::remove_file(path).ok();
+        }
+    }
+
+    /// A bipartite adjacency over `n_users + n_items` nodes with `n_edges`
+    /// random edges and random weights, so most nodes stay edgeless when
+    /// edges are few. `symmetric: false` gives each direction its own
+    /// weight.
+    fn random_adjacency(
+        rng: &mut SplitMix64,
+        (n_users, n_items): (usize, usize),
+        n_edges: usize,
+        symmetric: bool,
+    ) -> Csr {
+        let mut triplets = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..n_edges {
+            let u = rng.random_range(0..n_users as u32);
+            let i = n_users as u32 + rng.random_range(0..n_items as u32);
+            if seen.insert((u, i)) {
+                let w = rng.random::<f32>() + 0.1;
+                let back = if symmetric { w } else { rng.random::<f32>() + 0.1 };
+                triplets.push((u, i, w));
+                triplets.push((i, u, back));
+            }
+        }
+        let n = n_users + n_items;
+        Csr::from_coo(n, n, triplets)
+    }
+
+    /// A random batch over every node, edgeless ones included.
+    fn random_batch(
+        rng: &mut SplitMix64,
+        (n_users, n_items): (usize, usize),
+        len: usize,
+    ) -> BprBatch {
+        let mut draw = |n: usize| (0..len).map(|_| rng.random_range(0..n as u32)).collect();
+        BprBatch {
+            users: draw(n_users),
+            pos_items: draw(n_items),
+            neg_items: draw(n_items),
+        }
+    }
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn live_view_spmm_is_bitwise_the_full_rows() {
+        let mut rng = SplitMix64::new(42);
+        for case in 0..20 {
+            let shape = (5 + case * 3, 40 + case * 7);
+            let n = shape.0 + shape.1;
+            let full = random_adjacency(&mut rng, shape, 2 + case * 4, true);
+            let x = init::xavier_uniform(n, 8, &mut rng);
+            let want = Matrix::from_vec(n, 8, full.spmm(x.data(), 8));
+            let mut live = LiveView::new(&SharedCsr::new(full.clone()));
+            assert_eq!(live.adj.matrix().nnz(), full.nnz(), "case {case}: nnz");
+            for _ in 0..3 {
+                let batch = random_batch(&mut rng, shape, 1 + case);
+                let view = live.batch(&batch, shape.0);
+                let adj = view.adj.matrix();
+                assert_eq!(adj.nnz(), full.nnz(), "case {case}: nnz");
+                assert_eq!(adj.n_rows(), view.ids.len());
+                let got = adj.spmm(x.gather_rows(&view.ids).data(), 8);
+                for (k, &v) in view.ids.iter().enumerate() {
+                    assert_eq!(bits(&got[k * 8..(k + 1) * 8]), bits(want.row(v as usize)));
+                    // Only the batch's edgeless ids follow the live rows,
+                    // each once and as an empty row.
+                    let edgeless = full.row_nnz(v as usize) == 0;
+                    assert_eq!(edgeless, k >= live.ids.len(), "case {case}: node {v}");
+                    if edgeless {
+                        assert_eq!(adj.row_nnz(k), 0);
+                    }
+                }
+                let (u, i, j) = batch_node_indices(&batch, shape.0);
+                for (nodes, rows) in [(&u, &view.rows.0), (&i, &view.rows.1), (&j, &view.rows.2)] {
+                    let mapped: Vec<u32> = rows.iter().map(|&r| view.ids[r as usize]).collect();
+                    assert_eq!(&mapped, &**nodes, "case {case}: batch rows");
+                }
+                let mut distinct = view.ids[live.ids.len()..].to_vec();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), view.ids.len() - live.ids.len());
+            }
+            assert!(live.row_of.iter().all(|&r| r == NO_ROW || (r as usize) < live.ids.len()));
+        }
+    }
+
+    /// An asymmetric matrix keeps a transpose of its own, and the view of
+    /// that transpose is the view's transpose.
+    #[test]
+    fn live_view_of_an_asymmetric_matrix_keeps_its_transpose() {
+        let mut rng = SplitMix64::new(7);
+        let shape = (12, 60);
+        let full = random_adjacency(&mut rng, shape, 30, false);
+        let mut live = LiveView::new(&SharedCsr::new(full));
+        let view = live.batch(&random_batch(&mut rng, shape, 16), shape.0);
+        assert!(view.ids.len() > live.ids.len(), "the batch draws edgeless ids");
+        assert_eq!(view.adj.transpose(), &view.adj.matrix().transpose());
+    }
+
+    /// The view changes which rows train, not what they compute: one epoch
+    /// on the view and one over every row give the same ego table, bit for
+    /// bit, for every family member.
+    #[test]
+    fn view_epoch_is_bitwise_the_full_graph_epoch() {
+        let ds = tiny_dataset(4);
+        let edgeless = ds.train().node_degrees().iter().filter(|&&d| d == 0).count();
+        assert!(edgeless > 0, "the fixture has edgeless nodes");
+        for (label, cfg) in family() {
+            let cfg = EgoGcnConfig {
+                batch_size: 512,
+                ..cfg
+            };
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut m = EgoGcn::new(&ds, cfg.clone(), &mut rng);
+            let mut full_rng = rng.clone();
+            let mut reference = EgoGcn::new(&ds, cfg.clone(), &mut StdRng::seed_from_u64(3));
+            m.train_epoch(&ds, 0, &mut rng);
+            // The same epoch over the full graph, X^0 read directly.
+            let adj = match cfg.pruner.sample_edges(ds.train(), 0, &mut full_rng) {
+                Some(edges) => SharedCsr::new(ds.train().norm_adjacency_of_edges(&edges)),
+                None => reference.adj_full.clone(),
+            };
+            for batch in BprEpoch::new(&ds, cfg.batch_size, &mut full_rng).collect::<Vec<_>>() {
+                let mut tape = Tape::new();
+                let on = reference.params.leaves(&mut tape);
+                let x0 = on[EGO];
+                let (layers, _) = cfg.propagation.chain(&mut tape, &adj, x0, cfg.n_layers);
+                let final_x = cfg.propagation.readout(&mut tape, &layers);
+                let loss = bpr_loss(&mut tape, final_x, x0, ds.n_users(), &batch, cfg.lambda);
+                reference.params.step(&mut tape, loss, &on);
+            }
+            assert_eq!(
+                bits(m.ego_embeddings().data()),
+                bits(reference.ego_embeddings().data()),
+                "{label}"
+            );
         }
     }
 

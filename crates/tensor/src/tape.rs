@@ -59,6 +59,20 @@ impl SharedCsr {
     pub fn transpose(&self) -> &Csr {
         &self.bwd
     }
+
+    /// Applies `f` to the matrix and to its transpose. `f` must commute
+    /// with transposition, as a symmetric relabelling or appending empty
+    /// rows and columns does; a symmetric matrix is mapped once and its
+    /// transpose stays an alias.
+    pub fn map(&self, f: impl Fn(&Csr) -> Csr) -> Self {
+        let fwd = Arc::new(f(&self.fwd));
+        let bwd = if Arc::ptr_eq(&self.fwd, &self.bwd) {
+            Arc::clone(&fwd)
+        } else {
+            Arc::new(f(&self.bwd))
+        };
+        Self { fwd, bwd }
+    }
 }
 
 /// The operation that produced a tape node.

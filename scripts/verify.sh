@@ -25,9 +25,12 @@
 #      round-trip
 #   8. kernel sweep: the golden-trajectory suite, the tensor crate's
 #      kernel_equality suite, the eval crate's tests (top-K select,
-#      parallel evaluation) and every serving-engine test (`engine::`:
-#      the zero-class suite's live-row scan vs a full scan, ids and score
-#      bits, plus the standby, int8 and IVF engine tests) re-run under
+#      parallel evaluation), the ego-table model tests (`egogcn::`: the
+#      training live view's SpMM rows vs the full graph's and one epoch
+#      on the view vs one over every row, bit for bit) and every
+#      serving-engine test (`engine::`: the zero-class suite's live-row
+#      scan vs a full scan, ids and score bits, plus the standby, int8
+#      and IVF engine tests) re-run under
 #      every LRGCN_KERNEL={naive,blocked,simd} × LRGCN_THREADS={1,8} pair —
 #      the cache-blocked and AVX2 kernels are contractually bitwise
 #      identical to the naive reference, so any trajectory drift fails the
@@ -239,12 +242,12 @@ fi
     || { echo "verify: resume after mid-save kill failed"; exit 1; }
 echo "fault-injection smoke: OK"
 
-echo "==> kernel sweep: golden trajectory, kernel equality, eval, serving engine under every kernel x thread pair"
+echo "==> kernel sweep: golden trajectory, kernel equality, eval, ego-table models, serving engine under every kernel x thread pair"
 for kernel in naive blocked simd; do
     for threads in 1 8; do
         for suite in "-p lrgcn-train --test golden_trajectory" \
             "-p lrgcn-tensor --test kernel_equality" "-p lrgcn-eval" \
-            "-p lrgcn-serve --lib engine::"; do
+            "-p lrgcn-models --lib egogcn::" "-p lrgcn-serve --lib engine::"; do
             # shellcheck disable=SC2086  # $suite is a list of cargo arguments
             out=$(LRGCN_KERNEL=$kernel LRGCN_THREADS=$threads cargo test -q $suite 2>&1) || {
                 echo "$out"
