@@ -65,9 +65,10 @@ pub struct ImpGcn {
     /// share its step counter.
     params: Params,
     adj: SharedCsr,
-    /// Per-epoch subgroup adjacencies and soft probabilities.
+    /// Per-epoch subgroup adjacencies, and each group's soft scaling
+    /// column over the unified node space (see [`ImpGcn::reassign_groups`]).
     group_adj: Vec<SharedCsr>,
-    group_probs: Matrix,
+    soft_cols: Vec<Matrix>,
     inference: Option<Matrix>,
 }
 
@@ -87,7 +88,7 @@ impl ImpGcn {
             params,
             adj,
             group_adj: Vec::new(),
-            group_probs: Matrix::zeros(0, 0),
+            soft_cols: Vec::new(),
             inference: None,
         };
         m.reassign_groups(ds);
@@ -114,7 +115,8 @@ impl ImpGcn {
     }
 
     /// Recomputes hard group routing + soft probabilities and rebuilds the
-    /// per-group adjacencies. Called at the start of each epoch.
+    /// per-group adjacencies and soft scaling columns (users get their
+    /// group probability, items get 1). Called at the start of each epoch.
     pub fn reassign_groups(&mut self, ds: &Dataset) {
         let logits = self.group_logits(ds);
         let s = self.cfg.n_groups;
@@ -155,22 +157,16 @@ impl ImpGcn {
                 SharedCsr::new(ds.train().norm_adjacency_of_edges(&edges))
             })
             .collect();
-        self.group_probs = probs;
-    }
-
-    /// Per-group soft scaling columns in the unified node space (users get
-    /// their group probability, items get 1).
-    fn soft_columns(&self, ds: &Dataset) -> Vec<Matrix> {
         let n = ds.n_users() + ds.n_items();
-        (0..self.cfg.n_groups)
+        self.soft_cols = (0..s)
             .map(|g| {
                 let mut col = Matrix::full(n, 1, 1.0);
                 for u in 0..ds.n_users() {
-                    col[(u, 0)] = self.group_probs[(u, g)];
+                    col[(u, 0)] = probs[(u, g)];
                 }
                 col
             })
-            .collect()
+            .collect();
     }
 
     /// Builds the IMP-GCN forward pass on a tape. Returns
@@ -178,14 +174,14 @@ impl ImpGcn {
     /// chain the mean readout averages (ego first).
     /// The soft group probabilities enter as constants; the grouping MLP is
     /// off the tape, trained separately by [`ImpGcn::update_grouping_mlp`].
-    fn forward(&self, tape: &mut Tape, ds: &Dataset) -> (Var, Leaves, Vec<Var>) {
+    fn forward(&self, tape: &mut Tape) -> (Var, Leaves, Vec<Var>) {
         let on = self.params.leaves_of(tape, &[EGO]);
         let x0 = on[EGO];
         let e1 = tape.spmm(&self.adj, x0);
         let mut layer_embs = vec![x0, e1];
-        let soft_cols = self.soft_columns(ds);
         // Subgroup propagation.
-        let mut prev: Vec<Var> = soft_cols
+        let mut prev: Vec<Var> = self
+            .soft_cols
             .iter()
             .zip(&self.group_adj)
             .map(|(col, adj_s)| {
@@ -230,7 +226,7 @@ impl Recommender for ImpGcn {
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
         for batch in batches {
             let mut tape = Tape::new();
-            let (final_x, on, _) = self.forward(&mut tape, ds);
+            let (final_x, on, _) = self.forward(&mut tape);
             let loss = bpr_loss(
                 &mut tape,
                 final_x,
@@ -248,9 +244,9 @@ impl Recommender for ImpGcn {
         self.params.end_epoch()
     }
 
-    fn refresh(&mut self, ds: &Dataset) {
+    fn refresh(&mut self, _ds: &Dataset) {
         let mut tape = Tape::new();
-        let (final_x, _, _) = self.forward(&mut tape, ds);
+        let (final_x, _, _) = self.forward(&mut tape);
         self.inference = Some(tape.value(final_x).clone());
     }
 
@@ -266,11 +262,11 @@ impl Recommender for ImpGcn {
         self.params.n_parameters()
     }
 
-    fn diagnostics(&self, ds: &Dataset) -> Option<ModelDiagnostics> {
+    fn diagnostics(&self, _ds: &Dataset) -> Option<ModelDiagnostics> {
         // The forward pass is deterministic given the current parameters and
         // group assignment, so a fresh tape reproduces the readout chain.
         let mut tape = Tape::new();
-        let (_, _, layer_embs) = self.forward(&mut tape, ds);
+        let (_, _, layer_embs) = self.forward(&mut tape);
         let chain: Vec<Matrix> = layer_embs.iter().map(|&v| tape.value(v).clone()).collect();
         // Mean readout: uniform weight over the layer chain.
         let uniform = vec![1.0 / chain.len() as f64; chain.len()];
@@ -284,20 +280,6 @@ impl ImpGcn {
     /// cross-entropy self-distillation), giving the MLP a training signal.
     /// The ego table is a constant here; only the MLP steps.
     fn update_grouping_mlp(&mut self, ds: &Dataset) {
-        let hard: Vec<u32> = {
-            let logits = self.group_logits(ds);
-            (0..logits.rows() as u32)
-                .map(|r| {
-                    logits
-                        .row(r as usize)
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                        .map(|(i, _)| i as u32)
-                        .expect("non-empty")
-                })
-                .collect()
-        };
         let mut tape = Tape::new();
         let x0 = tape.constant(self.params.value(EGO).clone());
         let e1 = tape.spmm(&self.adj, x0);
@@ -309,12 +291,20 @@ impl ImpGcn {
         let on = self.params.leaves_of(&mut tape, &[W_GROUP, B_GROUP]);
         let lin = tape.matmul(feat_act, on[W_GROUP]);
         let logits = tape.add_col_broadcast(lin, on[B_GROUP]);
-        let ls = tape.row_log_softmax(logits);
-        // One-hot mask of the hard assignment.
+        // One-hot mask of the hard assignment, the argmax of the logits.
         let mut mask = Matrix::zeros(ds.n_users(), self.cfg.n_groups);
-        for (u, &g) in hard.iter().enumerate() {
-            mask[(u, g as usize)] = 1.0;
+        let values = tape.value(logits);
+        for u in 0..ds.n_users() {
+            let g = values
+                .row(u)
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                .map(|(i, _)| i)
+                .expect("non-empty");
+            mask[(u, g)] = 1.0;
         }
+        let ls = tape.row_log_softmax(logits);
         let mk = tape.constant(mask);
         let picked = tape.mul(ls, mk);
         let s = tape.sum(picked);
@@ -353,10 +343,12 @@ mod tests {
         let ds = tiny_dataset(4);
         let mut rng = StdRng::seed_from_u64(1);
         let m = ImpGcn::new(&ds, ImpGcnConfig::default(), &mut rng);
-        for r in 0..m.group_probs.rows() {
-            let s: f32 = m.group_probs.row(r).iter().sum();
+        for u in 0..ds.n_users() {
+            let s: f32 = m.soft_cols.iter().map(|c| c[(u, 0)]).sum();
             assert!((s - 1.0).abs() < 1e-5);
         }
+        let items = ds.n_users()..ds.n_users() + ds.n_items();
+        assert!(m.soft_cols.iter().all(|c| items.clone().all(|i| c[(i, 0)] == 1.0)));
     }
 
     #[test]
