@@ -134,17 +134,7 @@ impl ImpGcn {
                 *x /= z;
             }
         }
-        let assignment: Vec<usize> = (0..probs.rows())
-            .map(|r| {
-                probs
-                    .row(r)
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty row")
-            })
-            .collect();
+        let assignment: Vec<usize> = row_argmax(&probs).collect();
         self.group_adj = (0..s)
             .map(|g| {
                 let edges: Vec<(u32, u32)> = ds
@@ -293,15 +283,7 @@ impl ImpGcn {
         let logits = tape.add_col_broadcast(lin, on[B_GROUP]);
         // One-hot mask of the hard assignment, the argmax of the logits.
         let mut mask = Matrix::zeros(ds.n_users(), self.cfg.n_groups);
-        let values = tape.value(logits);
-        for u in 0..ds.n_users() {
-            let g = values
-                .row(u)
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .map(|(i, _)| i)
-                .expect("non-empty");
+        for (u, g) in row_argmax(tape.value(logits)).enumerate() {
             mask[(u, g)] = 1.0;
         }
         let ls = tape.row_log_softmax(logits);
@@ -311,6 +293,18 @@ impl ImpGcn {
         let loss = tape.mul_scalar(s, -1.0 / ds.n_users().max(1) as f32);
         self.params.descend(&mut tape, loss, &on);
     }
+}
+
+/// The column of each row's largest entry.
+fn row_argmax(m: &Matrix) -> impl Iterator<Item = usize> + '_ {
+    (0..m.rows()).map(|r| {
+        m.row(r)
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+            .map(|(i, _)| i)
+            .expect("non-empty row")
+    })
 }
 
 #[cfg(test)]
