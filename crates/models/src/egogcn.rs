@@ -17,14 +17,17 @@
 //! [`EdgePruner`] (Eq. 5); inference uses the full `Â`. A training step
 //! computes only the rows its loss can reach: the epoch's nodes with an
 //! edge plus the batch's own ids, bitwise what the full graph gives them
-//! ([`LiveView`]).
+//! ([`LiveView`]). LayerGCN's evaluation cache is computed on the full
+//! adjacency's live view too, and scored from its live item rows
+//! ([`ItemTable`]).
 //! [`LayerGcnConfig`], [`LightGcnConfig`] and [`LrGccfConfig`] stay the
 //! public way to configure each model.
 
 use crate::common::{
     batch_node_indices, bpr_loss_at, consecutive_smoothness, full_adjacency, mean_readout,
-    score_from_final, sum_readout, SharedIndices,
+    sum_readout, SharedIndices,
 };
+use crate::live_items::ItemTable;
 use crate::params::Params;
 use crate::traits::{EpochStats, ModelDiagnostics, OptimState, Recommender};
 use lrgcn_data::{BprBatch, BprEpoch, Dataset};
@@ -401,8 +404,11 @@ pub struct EgoGcn {
     params: Params,
     /// Full normalized adjacency (inference).
     adj_full: SharedCsr,
+    /// `adj_full`'s live view: the unpruned epochs' and LayerGCN's
+    /// evaluation cache's rows.
+    live_full: LiveView,
     /// Cached inference embeddings (users first), refreshed by `refresh`.
-    inference: Option<Matrix>,
+    inference: Option<ItemTable>,
 }
 
 impl EgoGcn {
@@ -418,10 +424,12 @@ impl EgoGcn {
         let ego = init::xavier_uniform(n, cfg.embedding_dim, rng);
         let params = Params::new(cfg.learning_rate).with("ego", ego);
         let adj_full = full_adjacency(ds);
+        let live_full = LiveView::new(&adj_full);
         Self {
             cfg,
             params,
             adj_full,
+            live_full,
             inference: None,
         }
     }
@@ -461,6 +469,39 @@ impl EgoGcn {
         let (mut tape, layers, _) = self.full_chain();
         let f = self.cfg.propagation.readout(&mut tape, &layers);
         tape.value(f).clone()
+    }
+
+    /// [`EgoGcn::final_embeddings`], bit for bit, for the evaluation cache.
+    /// LayerGCN's is computed on the full adjacency's live view: its
+    /// readout leaves `X^0` out, so an edgeless node's row is an empty SpMM
+    /// row times `Sim + ε = ε`, exactly `+0.0`. That holds while `X^0` is
+    /// finite, `ε >= 0` and the cosine's clamp is positive; otherwise, and
+    /// for the readouts that keep `X^0`, the full chain runs (DESIGN.md,
+    /// "Live view").
+    fn inference_table(&self) -> Matrix {
+        let x0 = self.ego_embeddings();
+        let live = match self.cfg.propagation {
+            Propagation::Refined {
+                epsilon,
+                cosine_eps,
+            } => epsilon >= 0.0 && cosine_eps > 0.0 && !x0.has_non_finite(),
+            Propagation::Light | Propagation::ResidualConcat => false,
+        };
+        if !live {
+            return self.final_embeddings();
+        }
+        let view = &self.live_full;
+        let mut tape = Tape::new();
+        let x = tape.constant(x0.gather_rows(&view.ids));
+        let propagation = self.cfg.propagation;
+        let (layers, _) = propagation.chain(&mut tape, &view.adj, x, self.cfg.n_layers);
+        let f = propagation.readout(&mut tape, &layers);
+        let f = tape.value(f);
+        let mut out = Matrix::zeros(x0.rows(), f.cols());
+        for (k, &v) in view.ids.iter().enumerate() {
+            out.row_mut(v as usize).copy_from_slice(f.row(k));
+        }
+        out
     }
 
     /// The ego embedding table (`X^0`).
@@ -526,12 +567,14 @@ impl Recommender for EgoGcn {
     fn train_epoch(&mut self, ds: &Dataset, epoch: usize, rng: &mut StdRng) -> EpochStats {
         self.inference = None;
         // Re-sample the pruned adjacency once per epoch (§III-B1).
-        let mut live = {
-            let adj = match self.cfg.pruner.sample_edges(ds.train(), epoch, rng) {
-                Some(edges) => SharedCsr::new(ds.train().norm_adjacency_of_edges(&edges)),
-                None => self.adj_full.clone(),
-            };
-            LiveView::new(&adj)
+        let mut pruned;
+        let live = match self.cfg.pruner.sample_edges(ds.train(), epoch, rng) {
+            Some(edges) => {
+                let adj = SharedCsr::new(ds.train().norm_adjacency_of_edges(&edges));
+                pruned = LiveView::new(&adj);
+                &mut pruned
+            }
+            None => &mut self.live_full,
         };
         let propagation = self.cfg.propagation;
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();
@@ -550,16 +593,15 @@ impl Recommender for EgoGcn {
         self.params.end_epoch()
     }
 
-    fn refresh(&mut self, _ds: &Dataset) {
-        self.inference = Some(self.final_embeddings());
+    fn refresh(&mut self, ds: &Dataset) {
+        self.inference = Some(ItemTable::new(self.inference_table(), ds.n_users()));
     }
 
-    fn score_users(&self, ds: &Dataset, users: &[u32]) -> Matrix {
-        let inference = self
-            .inference
+    fn score_users(&self, _ds: &Dataset, users: &[u32]) -> Matrix {
+        self.inference
             .as_ref()
-            .expect("refresh() must be called before score_users");
-        score_from_final(inference, ds.n_users(), users)
+            .expect("refresh() must be called before score_users")
+            .score_users(users)
     }
 
     fn n_parameters(&self) -> usize {
@@ -652,10 +694,11 @@ impl Recommender for EgoGcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{bpr_loss, propagate_matrix};
+    use crate::common::{bpr_loss, propagate_matrix, score_from_final};
     use crate::test_util::{tiny_dataset, train_and_eval};
     use lrgcn_eval::oversmooth::mean_layer_divergence;
     use rand::{RngExt, SeedableRng, SplitMix64};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Every family member, by the config type its callers use.
     fn family() -> Vec<(&'static str, EgoGcnConfig)> {
@@ -983,6 +1026,106 @@ mod tests {
                 bits(reference.ego_embeddings().data()),
                 "{label}"
             );
+        }
+    }
+
+    /// `n_edges` random training pairs over `n_users × n_items`, so most
+    /// nodes stay edgeless when edges are few.
+    fn sparse_dataset(
+        rng: &mut SplitMix64,
+        (n_users, n_items): (usize, usize),
+        n_edges: usize,
+    ) -> Dataset {
+        let train = (0..n_edges)
+            .map(|_| {
+                (
+                    rng.random_range(0..n_users as u32),
+                    rng.random_range(0..n_items as u32),
+                )
+            })
+            .collect();
+        let empty = vec![vec![]; n_users];
+        Dataset::from_parts("sparse", n_users, n_items, train, empty.clone(), empty)
+    }
+
+    /// Bitwise equal, or NaN in both: a NaN's payload depends on the
+    /// kernel that made it.
+    fn same_scores(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape()
+            && a.data()
+                .iter()
+                .zip(b.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// The evaluation cache is `final_embeddings()`, bit for bit, and so
+    /// are its scores, for every family member: on the live view where
+    /// LayerGCN's readout allows it, on the full chain where it does not —
+    /// a non-finite ego row without an edge, or a negative ε, which would
+    /// turn an edgeless row into `-0.0`. In a debug build the tape refuses
+    /// the non-finite row, so both paths must panic instead.
+    #[test]
+    fn inference_table_is_bitwise_the_full_chain() {
+        let mut rng = SplitMix64::new(11);
+        let shape = (12, 90);
+        let mut configs = family();
+        configs.push((
+            "LayerGCN (ε < 0)",
+            LayerGcnConfig {
+                epsilon: -1e-3,
+                ..LayerGcnConfig::without_dropout()
+            }
+            .into(),
+        ));
+        for (graph, n_edges) in [("mostly edgeless", 25), ("no edges", 0)] {
+            let ds = sparse_dataset(&mut rng, shape, n_edges);
+            let degrees = ds.train().node_degrees();
+            assert!(2 * degrees.iter().filter(|&&d| d == 0).count() > degrees.len());
+            let edgeless_user = degrees[..shape.0]
+                .iter()
+                .position(|&d| d == 0)
+                .expect("user");
+            let edgeless_item = shape.0
+                + degrees[shape.0..]
+                    .iter()
+                    .position(|&d| d == 0)
+                    .expect("item");
+            let users: Vec<u32> = (0..shape.0 as u32).collect();
+            for (label, cfg) in &configs {
+                let mut m = EgoGcn::new(&ds, cfg.clone(), &mut StdRng::seed_from_u64(5));
+                let clean = m.ego_embeddings().clone();
+                for (node, bad) in [
+                    (None, 0.0),
+                    (Some(edgeless_user), f32::NAN),
+                    (Some(edgeless_item), f32::INFINITY),
+                ] {
+                    let mut ego = clean.clone();
+                    if let Some(v) = node {
+                        ego.row_mut(v)[0] = bad;
+                    }
+                    m.params.set_value(EGO, ego);
+                    let case = format!("{graph}: {label}: ego {bad} at {node:?}");
+                    // Debug builds refuse a non-finite value on the tape, so
+                    // there the full chain must panic on both paths.
+                    let want = catch_unwind(AssertUnwindSafe(|| m.final_embeddings()));
+                    let got = catch_unwind(AssertUnwindSafe(|| m.inference_table()));
+                    let (want, got) = match (want, got) {
+                        (Ok(want), Ok(got)) => (want, got),
+                        (Err(_), Err(_)) if node.is_some() => continue,
+                        _ => panic!("{case}: one path panicked"),
+                    };
+                    if let Some(v) = node {
+                        assert!(want.row(v).iter().any(|x| !x.is_finite()), "{case}");
+                    }
+                    assert_eq!(bits(got.data()), bits(want.data()), "{case}");
+                    m.refresh(&ds);
+                    let scores = score_from_final(&want, shape.0, &users);
+                    assert!(
+                        same_scores(&m.score_users(&ds, &users), &scores),
+                        "{case}: scores"
+                    );
+                }
+            }
         }
     }
 

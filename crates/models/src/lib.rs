@@ -36,6 +36,7 @@ pub mod impgcn;
 pub mod layergcn;
 pub mod layergcn_ssl;
 pub mod lightgcn;
+pub mod live_items;
 pub mod multivae;
 pub mod ngcf;
 mod params;
@@ -60,6 +61,7 @@ pub use ehcf::{Ehcf, EhcfConfig};
 pub use impgcn::{ImpGcn, ImpGcnConfig};
 pub use layergcn_ssl::{LayerGcnSsl, LayerGcnSslConfig};
 pub use lightgcn::WeightedLightGcn;
+pub use live_items::{ItemTable, LiveItems};
 pub use multivae::{MultiVae, MultiVaeConfig};
 pub use ngcf::{Ngcf, NgcfConfig};
 pub use ultragcn::{UltraGcn, UltraGcnConfig};

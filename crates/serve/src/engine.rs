@@ -19,17 +19,15 @@
 //!
 //! ## Live rows and the zero class
 //!
-//! The state stores the item table once, split by content: the **live**
-//! rows (any component other than `±0.0`), compacted in ascending id order
-//! behind the user rows, and the sorted ids of the all-zero rows, which
-//! share one zero row. LayerGCN's readout leaves the ego layer out, so
-//! every item without a training edge has an all-zero final row — most of
-//! a cold-heavy catalogue. Liveness is read from the table, never from the
-//! model tag: LightGCN's readout includes the ego layer, so its cold rows
-//! are not zero.
+//! The state stores the item table once, split by content into a
+//! [`LiveItems`]: the **live** rows (any component other than `±0.0`),
+//! compacted in ascending id order behind the user rows, and the sorted ids
+//! of the all-zero rows, which share one zero row. The offline evaluator
+//! scores LayerGCN's cold-heavy tables from the same type
+//! ([`lrgcn_models::ItemTable`]); its module doc says why the split is
+//! bitwise.
 //!
-//! Every kernel chain starts at `+0.0` and `+0.0 + (±0) = +0.0`, so for a
-//! finite query every zero row scores exactly `+0.0`. The scans therefore
+//! For a finite query every zero row scores exactly `+0.0`. The scans therefore
 //! run over the live block only, and the zero rows enter a ranking as one
 //! class — `+0.0` at the lowest unmasked zero ids, merged under
 //! [`rank_order`] — and only when fewer than `k` live candidates survive
@@ -65,8 +63,7 @@ use lrgcn_models::foldin::FoldInBasis;
 use lrgcn_stream::{EventLog, StreamEvent};
 use lrgcn_eval::{overlap_fraction, rank_order, top_k_indices_into};
 use lrgcn_models::checkpoint::{model_tag, require_entry, servable_config};
-use lrgcn_models::common::score_from_final;
-use lrgcn_models::{EgoGcn, Recommender};
+use lrgcn_models::{EgoGcn, LiveItems, Recommender};
 use lrgcn_obs::window::ReadPath;
 use lrgcn_obs::{registry, Counter, Gauge};
 use lrgcn_tensor::matrix::dot;
@@ -131,8 +128,6 @@ impl Default for EngineOptions {
 /// First-stage candidate multiplier: the quantized scan keeps `4·K`
 /// candidates for the exact rescore.
 const CANDIDATE_FACTOR: usize = 4;
-/// [`EngineState::live_pos`] entry of an all-zero item row.
-const ZERO_ROW: u32 = u32::MAX;
 /// How many users the build-time recall guardrail samples.
 const RECALL_SAMPLE_USERS: usize = 64;
 /// The K the guardrail compares at (the paper's headline Recall@20 cut).
@@ -228,18 +223,8 @@ pub struct EngineState {
     /// Folded-in events on top of this state (always the empty delta at
     /// version 0 without streaming).
     delta: RwLock<Arc<StreamDelta>>,
-    /// Final node embeddings with the item block reduced to its live rows:
-    /// the user rows, then the live item rows in ascending id order —
-    /// `(n_users + live_items) × dim`. The zero rows are not stored.
-    final_emb: Matrix,
-    /// Item id of each live position, ascending.
-    live_ids: Vec<u32>,
-    /// Live position of each item id; [`ZERO_ROW`] for an all-zero row.
-    live_pos: Vec<u32>,
-    /// Ids of the all-zero item rows, ascending.
-    zero_ids: Vec<u32>,
-    /// The one all-zero row every zero id reads as its embedding.
-    zero_row: Vec<f32>,
+    /// Final node embeddings with the item block reduced to its live rows.
+    items: LiveItems,
     /// L2 norms of the live rows, by live position (cosine for /similar).
     live_norms: Vec<f32>,
     /// Int8 table of the live rows when the quantized read path is on.
@@ -275,18 +260,17 @@ impl EngineState {
     ) -> Self {
         let (n_users, n_items) = (ds.n_users(), ds.n_items());
         let dim = final_emb.cols();
-        let (final_emb, live_ids, live_pos, zero_ids) =
-            compact_live_items(final_emb, n_users, n_items);
-        let n_live = live_ids.len();
-        let live_norms = (n_users..n_users + n_live)
-            .map(|r| {
-                let row = final_emb.row(r);
+        let items = LiveItems::split(final_emb, n_users);
+        let n_live = items.n_live();
+        let live_norms = (0..n_live)
+            .map(|p| {
+                let row = items.live_row(p);
                 dot(row, row).sqrt()
             })
             .collect();
         let quant = opts
             .quant
-            .then(|| QuantizedTable::from_matrix_rows(&final_emb, n_users, n_users + n_live));
+            .then(|| QuantizedTable::from_matrix_rows(items.table(), n_users, n_users + n_live));
         let ann = (opts.ann || opts.ann_standby).then(|| {
             let cfg = IvfConfig {
                 n_cells: opts.ann_cells,
@@ -299,8 +283,7 @@ impl EngineState {
                 n_cells: cfg.resolved_cells(n_items),
                 ..cfg
             };
-            let live_block = &final_emb.data()[n_users * dim..];
-            IvfIndex::build(live_block, n_live, dim, &cfg)
+            IvfIndex::build(items.live_block(), n_live, dim, &cfg)
         });
         Self {
             model_name,
@@ -314,11 +297,7 @@ impl EngineState {
             ds,
             foldin,
             delta: RwLock::new(Arc::new(StreamDelta::default())),
-            final_emb,
-            live_ids,
-            live_pos,
-            zero_ids,
-            zero_row: vec![0.0; dim],
+            items,
             live_norms,
             plan: ReadPlan {
                 nprobe: ann.as_ref().filter(|_| opts.ann).map_or(0, IvfIndex::nprobe),
@@ -391,7 +370,7 @@ impl EngineState {
         }
         let Some(basis) = &self.foldin else { return };
         let row = if (user as usize) < self.n_users {
-            basis.updated_user_row(user, self.final_emb.row(user as usize), &items)
+            basis.updated_user_row(user, self.user_row(user), &items)
         } else {
             basis.synth_user_row(&items)
         };
@@ -450,32 +429,25 @@ impl EngineState {
 
     /// How many item rows are live (not all-zero); for /healthz.
     pub(crate) fn live_items(&self) -> usize {
-        self.live_ids.len()
+        self.items.n_live()
     }
 
-    /// The contiguous live block of the item table.
-    fn live_block(&self) -> &[f32] {
-        &self.final_emb.data()[self.n_users * self.dim..]
+    fn user_row(&self, user: u32) -> &[f32] {
+        self.items.table().row(user as usize)
     }
 
     fn live_row(&self, pos: usize) -> &[f32] {
-        self.final_emb.row(self.n_users + pos)
+        self.items.live_row(pos)
+    }
+
+    fn item_row(&self, item: usize) -> &[f32] {
+        self.items.item_row(item)
     }
 
     /// The live position of `item`; `None` for a zero row or an id past
     /// the trained catalogue (a mask may carry folded-in ids).
     fn live_position(&self, item: u32) -> Option<usize> {
-        match self.live_pos.get(item as usize) {
-            Some(&p) if p != ZERO_ROW => Some(p as usize),
-            _ => None,
-        }
-    }
-
-    fn item_row(&self, item: usize) -> &[f32] {
-        match self.live_pos[item] {
-            ZERO_ROW => &self.zero_row,
-            p => self.live_row(p as usize),
-        }
+        self.items.live_position(item)
     }
 
     fn item_norm(&self, item: u32) -> f32 {
@@ -483,27 +455,9 @@ impl EngineState {
     }
 
     /// The raw score matrix for a chunk of users, bitwise what the exact
-    /// evaluator (`score_from_final`) gives over the full item table: the
-    /// live columns come from the same kernel, and a zero column is the
-    /// kernel's `+0.0` — or `dot(row, 0)` for a user row with a non-finite
-    /// component.
+    /// evaluator gives over the full item table ([`LiveItems::score_users`]).
     pub fn score_users(&self, users: &[u32]) -> Matrix {
-        let live = score_from_final(&self.final_emb, self.n_users, users);
-        let mut out = Matrix::zeros(users.len(), self.n_items);
-        for (r, &u) in users.iter().enumerate() {
-            let orow = out.row_mut(r);
-            for (&id, &s) in self.live_ids.iter().zip(live.row(r)) {
-                orow[id as usize] = s;
-            }
-            let urow = self.final_emb.row(u as usize);
-            if !urow.iter().all(|x| x.is_finite()) {
-                let zero = dot(urow, &self.zero_row);
-                for &id in &self.zero_ids {
-                    orow[id as usize] = zero;
-                }
-            }
-        }
-        out
+        self.items.score_users(users)
     }
 
     /// Top-K recommendations for one user, optionally masking the items the
@@ -535,7 +489,7 @@ impl EngineState {
             return Err(format!("user {user} out of range (0..{})", self.n_users));
         }
         let seen: &[u32] = if exclude_seen { ds.train_items(user) } else { &[] };
-        let row = self.final_emb.row(user as usize);
+        let row = self.user_row(user);
         Ok(self.rank(row, Metric::Dot, seen, k, self.plan, scratch))
     }
 
@@ -571,7 +525,7 @@ impl EngineState {
         let trained = (user as usize) < self.n_users;
         let row: &[f32] = match delta.user_row(user) {
             Some(r) => r,
-            None if trained => self.final_emb.row(user as usize),
+            None if trained => self.user_row(user),
             None => {
                 return Err(format!(
                     "user {user} out of range (0..{}) and not folded in",
@@ -769,7 +723,7 @@ impl EngineState {
                 } else {
                     scores[i]
                 };
-                (self.live_ids[p], s)
+                (self.items.live_ids()[p], s)
             })
             .collect();
         if quant.is_some() {
@@ -794,7 +748,7 @@ impl EngineState {
             kern,
             row,
             self.dim,
-            self.live_block(),
+            self.items.live_block(),
             self.live_items(),
             out,
         );
@@ -813,7 +767,7 @@ impl EngineState {
         }
         let before = out.len();
         let mut excluded = excluded.iter().peekable();
-        for &z in &self.zero_ids {
+        for &z in self.items.zero_ids() {
             if out.len() - before == k {
                 break;
             }
@@ -846,10 +800,10 @@ impl EngineState {
         // Scatter in place, last position first: `live_ids[p] >= p`, so no
         // position is overwritten before it is read.
         for p in (0..self.live_items()).rev() {
-            scores[self.live_ids[p] as usize] = scores[p];
+            scores[self.items.live_ids()[p] as usize] = scores[p];
         }
-        let zero = dot(row, &self.zero_row);
-        for &z in &self.zero_ids {
+        let zero = dot(row, self.items.zero_row());
+        for &z in self.items.zero_ids() {
             scores[z as usize] = zero;
         }
         for &it in seen {
@@ -887,7 +841,7 @@ impl EngineState {
                 .iter()
                 .map(|&(u, i)| {
                     let q_scale =
-                        QuantizedTable::quantize_query(self.final_emb.row(u as usize), &mut qbuf);
+                        QuantizedTable::quantize_query(self.user_row(u), &mut qbuf);
                     // A zero row quantizes to scale 0, which scores 0.
                     self.live_position(i)
                         .map_or(0.0, |p| qt.score_row(p, &qbuf, q_scale))
@@ -896,53 +850,9 @@ impl EngineState {
         }
         Ok(pairs
             .iter()
-            .map(|&(u, i)| dot(self.final_emb.row(u as usize), self.item_row(i as usize)))
+            .map(|&(u, i)| dot(self.user_row(u), self.item_row(i as usize)))
             .collect())
     }
-}
-
-/// Splits the item block of `final_emb` (rows `n_users..n_users + n_items`)
-/// by content, in place: the live rows — any component other than `±0.0`;
-/// a NaN counts as live — move up behind the user rows in ascending id
-/// order, and the rest are dropped. Returns the compacted matrix, the live
-/// ids, the id → live position map and the zero ids.
-fn compact_live_items(
-    final_emb: Matrix,
-    n_users: usize,
-    n_items: usize,
-) -> (Matrix, Vec<u32>, Vec<u32>, Vec<u32>) {
-    let dim = final_emb.cols();
-    let mut data = final_emb.into_vec();
-    let is_live = |data: &[f32], item: usize| {
-        let src = (n_users + item) * dim;
-        data[src..src + dim].iter().any(|&x| x != 0.0)
-    };
-    // Counted first so every list is allocated once at its final size:
-    // growth reallocations here fragment the heap that later training
-    // matrices reuse, which shows in the process's peak RSS.
-    let n_live = (0..n_items).filter(|&i| is_live(&data, i)).count();
-    let mut live_ids = Vec::with_capacity(n_live);
-    let mut zero_ids = Vec::with_capacity(n_items - n_live);
-    let mut live_pos = vec![ZERO_ROW; n_items];
-    for (item, pos) in live_pos.iter_mut().enumerate() {
-        if is_live(&data, item) {
-            let src = (n_users + item) * dim;
-            data.copy_within(src..src + dim, (n_users + live_ids.len()) * dim);
-            *pos = live_ids.len() as u32;
-            live_ids.push(item as u32);
-        } else {
-            zero_ids.push(item as u32);
-        }
-    }
-    let rows = n_users + n_live;
-    data.truncate(rows * dim);
-    data.shrink_to_fit();
-    (
-        Matrix::from_vec(rows, dim, data),
-        live_ids,
-        live_pos,
-        zero_ids,
-    )
 }
 
 /// Mean overlap of the top-`RECALL_K` under `plan` with the exact top-20
@@ -957,7 +867,7 @@ fn measure_recall(state: &EngineState, ds: &Dataset, plan: ReadPlan) -> f64 {
     let stride = state.n_users / samples;
     let mut scratch = Scratch::default();
     let mut top = |user: u32, plan| -> Vec<u32> {
-        let row = state.final_emb.row(user as usize);
+        let row = state.user_row(user);
         let seen = ds.train_items(user);
         let ranked = state.rank(row, Metric::Dot, seen, RECALL_K, plan, &mut scratch);
         ranked.iter().map(|&(i, _)| i).collect()
@@ -1655,7 +1565,7 @@ mod tests {
         let mut scratch = Scratch::default();
         for u in 0..n_users {
             for exclude_seen in [true, false] {
-                let urow = st.final_emb.row(u as usize);
+                let urow = st.user_row(u);
                 let mut want: Vec<(u32, f32)> = (0..n_items)
                     .filter(|it| !(exclude_seen && ds.train_items(u).contains(it)))
                     .map(|it| (it, dot(urow, st.item_row(it as usize))))

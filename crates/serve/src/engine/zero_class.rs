@@ -9,6 +9,7 @@
 use super::tests::{ev, save_layergcn, save_lightgcn};
 use super::*;
 use lrgcn_eval::top_k_with_scores;
+use lrgcn_models::common::score_from_final;
 use rand::{Rng, SplitMix64};
 
 fn below(g: &mut SplitMix64, n: usize) -> usize {
@@ -254,7 +255,7 @@ fn every_read_path_equals_the_full_scan_on_generated_catalogues() {
             let ann_quant = case.state(&full_probe_opts(true));
             let n_live = exact.live_items();
             assert_eq!(n_live + case.n_zero, case.n_items());
-            assert_eq!(exact.zero_ids.len(), case.n_zero);
+            assert_eq!(exact.items.zero_ids().len(), case.n_zero);
             odd_live += usize::from(!n_live.is_multiple_of(16));
             narrowed += usize::from(ann.ann_cells() > 1);
             for u in 0..case.n_users() {
@@ -457,13 +458,13 @@ fn liveness_is_read_from_the_table_not_the_model_tag() {
         .expect("open")
         .state();
     assert_eq!(st.live_items(), 37);
-    assert!(st.zero_ids.is_empty());
+    assert!(st.items.zero_ids().is_empty());
     // LayerGCN's does not: only the seven items with an edge are live.
     let ckpt = dir.join("layergcn.ckpt");
     save_layergcn(&ds, &ckpt);
     let st = Engine::open(&ckpt, ds, opts).expect("open").state();
     assert_eq!(st.live_items(), 7);
-    assert_eq!(st.live_ids, (0..7).collect::<Vec<u32>>());
+    assert_eq!(st.items.live_ids(), (0..7).collect::<Vec<u32>>());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -26,8 +26,10 @@
 #   8. kernel sweep: the golden-trajectory suite, the tensor crate's
 #      kernel_equality suite, the eval crate's tests (top-K select,
 #      parallel evaluation), the ego-table model tests (`egogcn::`: the
-#      training live view's SpMM rows vs the full graph's and one epoch
-#      on the view vs one over every row, bit for bit) and every
+#      training live view's SpMM rows vs the full graph's, one epoch on
+#      the view vs one over every row, and the evaluation cache's live-view
+#      readout and scores vs the full chain's, bit for bit), the exact
+#      matmul-cell count of a LayerGCN evaluation (`eval_live_cells`) and every
 #      serving-engine test (`engine::`: the zero-class suite's live-row
 #      scan vs a full scan, ids and score bits, plus the standby, int8
 #      and IVF engine tests) re-run under
@@ -247,7 +249,8 @@ for kernel in naive blocked simd; do
     for threads in 1 8; do
         for suite in "-p lrgcn-train --test golden_trajectory" \
             "-p lrgcn-tensor --test kernel_equality" "-p lrgcn-eval" \
-            "-p lrgcn-models --lib egogcn::" "-p lrgcn-serve --lib engine::"; do
+            "-p lrgcn-models --lib egogcn::" "-p lrgcn-models --test eval_live_cells" \
+            "-p lrgcn-serve --lib engine::"; do
             # shellcheck disable=SC2086  # $suite is a list of cargo arguments
             out=$(LRGCN_KERNEL=$kernel LRGCN_THREADS=$threads cargo test -q $suite 2>&1) || {
                 echo "$out"
