@@ -144,7 +144,7 @@ impl ItemTable {
     pub fn new(final_emb: Matrix, n_users: usize) -> Self {
         let n_items = final_emb.rows() - n_users;
         let n_live = (n_users..final_emb.rows())
-            .filter(|&r| final_emb.row(r).iter().any(|&x| x != 0.0))
+            .filter(|&r| is_live_row(final_emb.row(r)))
             .count();
         if n_items - n_live < n_live {
             ItemTable::Dense {
@@ -165,6 +165,11 @@ impl ItemTable {
     }
 }
 
+/// A row is live when any component is other than `±0.0`; a NaN counts.
+fn is_live_row(row: &[f32]) -> bool {
+    row.iter().any(|&x| x != 0.0)
+}
+
 /// Splits the item block of `final_emb` (rows `n_users..n_users + n_items`)
 /// by content, in place: the live rows — any component other than `±0.0`;
 /// a NaN counts as live — move up behind the user rows in ascending id
@@ -179,7 +184,7 @@ fn compact_live_items(
     let mut data = final_emb.into_vec();
     let is_live = |data: &[f32], item: usize| {
         let src = (n_users + item) * dim;
-        data[src..src + dim].iter().any(|&x| x != 0.0)
+        is_live_row(&data[src..src + dim])
     };
     // Counted first so every list is allocated once at its final size:
     // growth reallocations here fragment the heap that later training

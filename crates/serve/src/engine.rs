@@ -436,22 +436,8 @@ impl EngineState {
         self.items.table().row(user as usize)
     }
 
-    fn live_row(&self, pos: usize) -> &[f32] {
-        self.items.live_row(pos)
-    }
-
-    fn item_row(&self, item: usize) -> &[f32] {
-        self.items.item_row(item)
-    }
-
-    /// The live position of `item`; `None` for a zero row or an id past
-    /// the trained catalogue (a mask may carry folded-in ids).
-    fn live_position(&self, item: u32) -> Option<usize> {
-        self.items.live_position(item)
-    }
-
     fn item_norm(&self, item: u32) -> f32 {
-        self.live_position(item).map_or(0.0, |p| self.live_norms[p])
+        self.items.live_position(item).map_or(0.0, |p| self.live_norms[p])
     }
 
     /// The raw score matrix for a chunk of users, bitwise what the exact
@@ -596,7 +582,7 @@ impl EngineState {
             return Err(format!("item {item} out of range (0..{})", self.n_items));
         }
         let metric = Metric::Cosine(self.item_norm(item));
-        Ok(self.rank(self.item_row(item as usize), metric, &[item], k, plan, scratch))
+        Ok(self.rank(self.items.item_row(item as usize), metric, &[item], k, plan, scratch))
     }
 
     /// The read pipeline every `/recs` and `/similar` answer comes from:
@@ -684,7 +670,7 @@ impl EngineState {
                     for (s, &p) in scores.iter_mut().zip(c) {
                         *s = match quant {
                             Some(qt) => qt.score_row(p as usize, qbuf, q_scale),
-                            None => dot(query, self.live_row(p as usize)),
+                            None => dot(query, self.items.live_row(p as usize)),
                         };
                     }
                 }
@@ -697,7 +683,7 @@ impl EngineState {
         }
 
         for &it in excluded {
-            let Some(p) = self.live_position(it) else {
+            let Some(p) = self.items.live_position(it) else {
                 continue;
             };
             let slot = cand.map_or(Some(p), |c| c.binary_search(&(p as u32)).ok());
@@ -719,7 +705,7 @@ impl EngineState {
             .map(|i| {
                 let p = pos(i);
                 let s = if quant.is_some() {
-                    finish(p, dot(query, self.live_row(p)))
+                    finish(p, dot(query, self.items.live_row(p)))
                 } else {
                     scores[i]
                 };
@@ -843,14 +829,14 @@ impl EngineState {
                     let q_scale =
                         QuantizedTable::quantize_query(self.user_row(u), &mut qbuf);
                     // A zero row quantizes to scale 0, which scores 0.
-                    self.live_position(i)
+                    self.items.live_position(i)
                         .map_or(0.0, |p| qt.score_row(p, &qbuf, q_scale))
                 })
                 .collect());
         }
         Ok(pairs
             .iter()
-            .map(|&(u, i)| dot(self.user_row(u), self.item_row(i as usize)))
+            .map(|&(u, i)| dot(self.user_row(u), self.items.item_row(i as usize)))
             .collect())
     }
 }
@@ -1555,7 +1541,7 @@ mod tests {
         .expect("open");
         let st = eng.state();
         let zero_rows = (0..n_items as usize)
-            .filter(|&i| st.item_row(i).iter().all(|&x| x == 0.0))
+            .filter(|&i| st.items.item_row(i).iter().all(|&x| x == 0.0))
             .count();
         assert_eq!(
             zero_rows, 30,
@@ -1568,7 +1554,7 @@ mod tests {
                 let urow = st.user_row(u);
                 let mut want: Vec<(u32, f32)> = (0..n_items)
                     .filter(|it| !(exclude_seen && ds.train_items(u).contains(it)))
-                    .map(|it| (it, dot(urow, st.item_row(it as usize))))
+                    .map(|it| (it, dot(urow, st.items.item_row(it as usize))))
                     .collect();
                 want.sort_by(rank_order);
                 for k in [1usize, 5, 20, 37, 50] {

@@ -301,7 +301,7 @@ fn every_read_path_equals_the_full_scan_on_generated_catalogues() {
                             }
                             zero_class_placed += usize::from(
                                 want.iter()
-                                    .any(|&(it, _)| exact.live_position(it).is_none()),
+                                    .any(|&(it, _)| exact.items.live_position(it).is_none()),
                             );
                             cases += 1;
                         }
