@@ -405,8 +405,9 @@ pub struct EgoGcn {
     /// Full normalized adjacency (inference).
     adj_full: SharedCsr,
     /// `adj_full`'s live view: the unpruned epochs' and LayerGCN's
-    /// evaluation cache's rows.
-    live_full: LiveView,
+    /// evaluation cache's rows. Built on first use, so a model loaded only
+    /// to serve never builds it.
+    live_full: Option<LiveView>,
     /// Cached inference embeddings (users first), refreshed by `refresh`.
     inference: Option<ItemTable>,
 }
@@ -424,12 +425,11 @@ impl EgoGcn {
         let ego = init::xavier_uniform(n, cfg.embedding_dim, rng);
         let params = Params::new(cfg.learning_rate).with("ego", ego);
         let adj_full = full_adjacency(ds);
-        let live_full = LiveView::new(&adj_full);
         Self {
             cfg,
             params,
             adj_full,
-            live_full,
+            live_full: None,
             inference: None,
         }
     }
@@ -478,19 +478,20 @@ impl EgoGcn {
     /// finite, `ε >= 0` and the cosine's clamp is positive; otherwise, and
     /// for the readouts that keep `X^0`, the full chain runs (DESIGN.md,
     /// "Live view").
-    fn inference_table(&self) -> Matrix {
-        let x0 = self.ego_embeddings();
-        let live = match self.cfg.propagation {
+    fn inference_table(&mut self) -> Matrix {
+        let x0 = self.params.value(EGO);
+        let on_view = match self.cfg.propagation {
             Propagation::Refined {
                 epsilon,
                 cosine_eps,
             } => epsilon >= 0.0 && cosine_eps > 0.0 && !x0.has_non_finite(),
             Propagation::Light | Propagation::ResidualConcat => false,
         };
-        if !live {
+        if !on_view {
             return self.final_embeddings();
         }
-        let view = &self.live_full;
+        let adj = &self.adj_full;
+        let view = self.live_full.get_or_insert_with(|| LiveView::new(adj));
         let mut tape = Tape::new();
         let x = tape.constant(x0.gather_rows(&view.ids));
         let propagation = self.cfg.propagation;
@@ -574,7 +575,10 @@ impl Recommender for EgoGcn {
                 pruned = LiveView::new(&adj);
                 &mut pruned
             }
-            None => &mut self.live_full,
+            None => {
+                let adj = &self.adj_full;
+                self.live_full.get_or_insert_with(|| LiveView::new(adj))
+            }
         };
         let propagation = self.cfg.propagation;
         let batches: Vec<_> = BprEpoch::new(ds, self.cfg.batch_size, rng).collect();

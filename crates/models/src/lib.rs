@@ -61,7 +61,7 @@ pub use ehcf::{Ehcf, EhcfConfig};
 pub use impgcn::{ImpGcn, ImpGcnConfig};
 pub use layergcn_ssl::{LayerGcnSsl, LayerGcnSslConfig};
 pub use lightgcn::WeightedLightGcn;
-pub use live_items::{ItemTable, LiveItems};
+pub use live_items::LiveItems;
 pub use multivae::{MultiVae, MultiVaeConfig};
 pub use ngcf::{Ngcf, NgcfConfig};
 pub use ultragcn::{UltraGcn, UltraGcnConfig};

@@ -11,7 +11,7 @@
 //! is bitwise what [`score_from_final`] gives over the whole table. The
 //! serving engine ranks from the same split (`lrgcn-serve`, "Live rows and
 //! the zero class"); [`crate::EgoGcn`] scores its evaluation cache from it
-//! when zero rows are the majority ([`ItemTable`]).
+//! when zero rows are at least as many as live ones ([`ItemTable`]).
 
 use crate::common::score_from_final;
 use lrgcn_tensor::matrix::dot;
@@ -134,7 +134,7 @@ impl LiveItems {
 /// when its all-zero item rows are at least as many as its live ones. Both
 /// score bitwise alike; the split saves the zero columns' dot products and
 /// costs a scatter of the live ones, so it pays only on a cold catalogue.
-pub enum ItemTable {
+pub(crate) enum ItemTable {
     Dense { table: Matrix, n_users: usize },
     Split(LiveItems),
 }

@@ -23,15 +23,14 @@
 //! [`LiveItems`]: the **live** rows (any component other than `±0.0`),
 //! compacted in ascending id order behind the user rows, and the sorted ids
 //! of the all-zero rows, which share one zero row. The offline evaluator
-//! scores LayerGCN's cold-heavy tables from the same type
-//! ([`lrgcn_models::ItemTable`]); its module doc says why the split is
-//! bitwise.
+//! scores LayerGCN's cold-heavy tables from the same type; the module doc
+//! of [`lrgcn_models::live_items`] says why the split is bitwise.
 //!
-//! For a finite query every zero row scores exactly `+0.0`. The scans therefore
-//! run over the live block only, and the zero rows enter a ranking as one
-//! class — `+0.0` at the lowest unmasked zero ids, merged under
-//! [`rank_order`] — and only when fewer than `k` live candidates survive
-//! or the k-th live score is `<= 0`. Live positions map to ids
+//! For a finite query every zero row scores exactly `+0.0`. The scans
+//! therefore run over the live block only, and the zero rows enter a
+//! ranking as one class — `+0.0` at the lowest unmasked zero ids, merged
+//! under [`rank_order`] — and only when fewer than `k` live candidates
+//! survive or the k-th live score is `<= 0`. Live positions map to ids
 //! monotonically, so the index tie-break is the full scan's, and the
 //! answer is bitwise the full scan's. A query with a non-finite component
 //! (where `dot(row, 0)` may be NaN) takes a full-width fallback that scores
