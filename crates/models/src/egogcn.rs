@@ -115,7 +115,9 @@ impl Propagation {
 }
 
 /// Builds the refined layer chain on a tape; returns the refined layers
-/// `[X^1', ..., X^L']` (ego excluded) and the per-layer similarity nodes.
+/// `[X^1', ..., X^L']` (ego excluded) and the per-layer similarity nodes
+/// (constants: the loss reaches `Sim` only through the refined layers).
+/// Each layer is one `spmm` and one fused [`Tape::refine`].
 pub fn refined_chain(
     tape: &mut Tape,
     adj: &SharedCsr,
@@ -129,11 +131,10 @@ pub fn refined_chain(
     let mut h = x0;
     for _ in 0..n_layers {
         let prop = tape.spmm(adj, h);
-        let sim = tape.row_cosine(prop, x0, cosine_eps);
-        let sim_eps = tape.add_scalar(sim, epsilon);
-        h = tape.mul_row_broadcast(prop, sim_eps);
-        layers.push(h);
+        let (refined, sim) = tape.refine(prop, x0, epsilon, cosine_eps);
+        layers.push(refined);
         sims.push(sim);
+        h = refined;
     }
     (layers, sims)
 }

@@ -8,10 +8,13 @@
 //! `match` per node.
 //!
 //! The op set is exactly what the paper's ten models need: dense/sparse
-//! matmuls, row gathering (embedding lookup), the row-wise cosine similarity
-//! of LayerGCN's refinement step (Eq. 6–8), broadcasts, standard
-//! nonlinearities and reductions. Every backward rule is verified against
-//! central finite differences by the tests in [`crate::grad_check`].
+//! matmuls, row gathering (embedding lookup), row-wise dot, cosine and L2
+//! normalisation, LayerGCN's fused layer refinement ([`Tape::refine`],
+//! Eq. 6–8), broadcasts, standard nonlinearities and reductions. Every
+//! backward rule is verified against central finite differences by the
+//! tests in [`crate::grad_check`]; `refine` is also checked bit for bit
+//! against the composed `row_cosine → add_scalar → mul_row_broadcast` it
+//! replaces (`tests/refine_bitwise.rs`).
 
 use crate::matrix::{dot, Matrix};
 use crate::par;
@@ -115,6 +118,15 @@ enum Op {
     RowL2Normalize(Var, f32),
     /// `(n,t) * (n,1)` broadcast over columns.
     MulRowBroadcast(Var, Var),
+    /// LayerGCN's refinement `p ⊙_rows (cos(p, x0) + ε)` (Eq. 6–8), with
+    /// the cosine's `eps` clamp. `stats` keeps each row's `p·x0`, `|p|²`,
+    /// `|x0|²` and scale `cos + ε` for the backward.
+    Refine {
+        p: Var,
+        x0: Var,
+        cos_eps: f32,
+        stats: Vec<[f32; 4]>,
+    },
     /// `(n,t) + (1,t)` broadcast over rows (bias add).
     AddColBroadcast(Var, Var),
     /// `(n,t) - (n,1)` broadcast over columns (e.g. log-softmax shift).
@@ -402,6 +414,55 @@ impl Tape {
         self.push(value, Op::MulRowBroadcast(a, s), ng)
     }
 
+    /// LayerGCN's layer refinement (Eq. 6–8) as one op:
+    /// `refined_r = p_r · (sim_r + epsilon)` with
+    /// `sim_r = (p_r · x0_r) / max(|p_r| |x0_r|, cos_eps)`. Returns the
+    /// refined layer and the similarities as a constant `(n, 1)` node.
+    ///
+    /// Bitwise the composed `row_cosine → add_scalar → mul_row_broadcast`,
+    /// forward and backward: each row's three sums are sequential chains in
+    /// [`dot`]'s order, and every element uses the composed ops' expression
+    /// (DESIGN.md §10, "Fused refinement"). The similarities carry no
+    /// gradient.
+    pub fn refine(&mut self, p: Var, x0: Var, epsilon: f32, cos_eps: f32) -> (Var, Var) {
+        assert_ne!(p, x0, "refine needs two distinct nodes");
+        let (vp, vx) = (self.value(p), self.value(x0));
+        assert_eq!(vp.shape(), vx.shape(), "refine shape mismatch");
+        let (n, t) = vp.shape();
+        let mut out = Vec::with_capacity(n * t);
+        let mut sims = Vec::with_capacity(n);
+        let mut stats = Vec::with_capacity(n);
+        for r in 0..n {
+            let (pr, xr) = (vp.row(r), vx.row(r));
+            // Three independent chains, each in `dot`'s order.
+            let (mut d, mut pp, mut xx) = (0.0f32, 0.0f32, 0.0f32);
+            for (&a, &b) in pr.iter().zip(xr) {
+                d += a * b;
+                pp += a * a;
+                xx += b * b;
+            }
+            let sim = d / (pp.sqrt() * xx.sqrt()).max(cos_eps);
+            let f = sim + epsilon;
+            out.extend(pr.iter().map(|&a| a * f));
+            sims.push(sim);
+            stats.push([d, pp, xx, f]);
+        }
+        let value = Matrix::from_vec(n, t, out);
+        let ng = self.child_needs_grad(&[p, x0]);
+        let refined = self.push(
+            value,
+            Op::Refine {
+                p,
+                x0,
+                cos_eps,
+                stats,
+            },
+            ng,
+        );
+        let sims = self.constant(Matrix::col_vector(sims));
+        (refined, sims)
+    }
+
     /// Broadcast add of a `(1,t)` bias row onto every row of `(n,t)`.
     pub fn add_col_broadcast(&mut self, a: Var, bias: Var) -> Var {
         let (va, vb) = (self.value(a), self.value(bias));
@@ -541,15 +602,19 @@ impl Tape {
         let (r, c) = self.nodes[loss.0].value.shape();
         self.nodes[loss.0].grad = Some(Matrix::full(r, c, 1.0));
         for i in (0..=loss.0).rev() {
-            if self.nodes[i].grad.is_none() || !self.nodes[i].needs_grad {
+            if !self.nodes[i].needs_grad {
                 continue;
             }
-            // Take the op out temporarily to appease the borrow checker; the
-            // grad is cloned (cheap relative to the matmuls below).
-            let g = self.nodes[i].grad.clone().expect("checked above");
+            // Take the grad and the op out while the node's parents
+            // accumulate, and put them back after. A node never accumulates
+            // into itself (parents precede children), so nothing is lost.
+            let Some(g) = self.nodes[i].grad.take() else {
+                continue;
+            };
             let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
             self.backprop_node(i, &g, &op);
             self.nodes[i].op = op;
+            self.nodes[i].grad = Some(g);
         }
     }
 
@@ -711,7 +776,7 @@ impl Tape {
                 self.accum(*a, da);
             }
             Op::RowDot(a, b) => {
-                let (va, vb) = (self.value(*a).clone(), self.value(*b).clone());
+                let (va, vb) = (self.value(*a), self.value(*b));
                 let mut da = Matrix::zeros(va.rows(), va.cols());
                 let mut db = Matrix::zeros(vb.rows(), vb.cols());
                 for r in 0..va.rows() {
@@ -727,7 +792,7 @@ impl Tape {
                 self.accum(*b, db);
             }
             Op::RowCosine(a, b, eps) => {
-                let (va, vb) = (self.value(*a).clone(), self.value(*b).clone());
+                let (va, vb) = (self.value(*a), self.value(*b));
                 let mut da = Matrix::zeros(va.rows(), va.cols());
                 let mut db = Matrix::zeros(vb.rows(), vb.cols());
                 for r in 0..va.rows() {
@@ -765,8 +830,8 @@ impl Tape {
                 self.accum(*b, db);
             }
             Op::RowL2Normalize(a, eps) => {
-                let va = self.value(*a).clone();
-                let y = self.nodes[i].value.clone();
+                let va = self.value(*a);
+                let y = &self.nodes[i].value;
                 let mut da = Matrix::zeros(va.rows(), va.cols());
                 for r in 0..va.rows() {
                     let n = va.row_norm(r).max(*eps);
@@ -784,7 +849,7 @@ impl Tape {
                 self.accum(*a, da);
             }
             Op::MulRowBroadcast(a, s) => {
-                let (va, vs) = (self.value(*a).clone(), self.value(*s).clone());
+                let (va, vs) = (self.value(*a), self.value(*s));
                 let mut da = g.clone();
                 let mut ds = Matrix::zeros(vs.rows(), 1);
                 for r in 0..va.rows() {
@@ -797,6 +862,12 @@ impl Tape {
                 self.accum(*a, da);
                 self.accum(*s, ds);
             }
+            Op::Refine {
+                p,
+                x0,
+                cos_eps,
+                stats,
+            } => self.refine_backward(g, *p, *x0, *cos_eps, stats),
             Op::AddColBroadcast(a, bias) => {
                 self.accum(*a, g.clone());
                 let mut db = Matrix::zeros(1, g.cols());
@@ -873,6 +944,63 @@ impl Tape {
                 self.accum(*a, da);
             }
         }
+    }
+
+    /// The backward of [`Tape::refine`], written straight into the grads of
+    /// `p` and `x0`. Per element it computes what the composed ops would
+    /// accumulate, in their order: into `p` first `g · f`
+    /// (`MulRowBroadcast`), then the cosine's term (`RowCosine`, `+0.0` on a
+    /// row whose `ds` is zero); into `x0` the cosine's term alone.
+    fn refine_backward(&mut self, g: &Matrix, p: Var, x0: Var, cos_eps: f32, stats: &[[f32; 4]]) {
+        let (want_p, want_x) = (self.nodes[p.0].needs_grad, self.nodes[x0.0].needs_grad);
+        let (n, t) = g.shape();
+        // A node with no grad yet takes the first term as is, as `accum`
+        // would; the zeros are only placeholders.
+        let take = |node: &mut Node, want: bool| -> (Option<Matrix>, bool) {
+            match node.grad.take() {
+                Some(m) => (Some(m), false),
+                None if want => (Some(Matrix::zeros(n, t)), true),
+                None => (None, false),
+            }
+        };
+        let (mut gp, fresh_p) = take(&mut self.nodes[p.0], want_p);
+        let (mut gx, fresh_x) = take(&mut self.nodes[x0.0], want_x);
+        let (vp, vx) = (&self.nodes[p.0].value, &self.nodes[x0.0].value);
+        for (r, &[d, pp, xx, f]) in stats.iter().enumerate() {
+            let (gr, pr, xr) = (g.row(r), vp.row(r), vx.row(r));
+            let ds = dot(gr, pr);
+            let prod = pp.sqrt() * xx.sqrt();
+            let cos = d / prod;
+            // The cosine's terms for element k; `RowCosine` skips a row
+            // whose incoming grad is zero, leaving its zeros.
+            let dcos = |k: usize| -> (f32, f32) {
+                if ds == 0.0 {
+                    (0.0, 0.0)
+                } else if prod > cos_eps {
+                    (
+                        ds * (xr[k] / prod - cos * pr[k] / pp),
+                        ds * (pr[k] / prod - cos * xr[k] / xx),
+                    )
+                } else {
+                    (ds * xr[k] / cos_eps, ds * pr[k] / cos_eps)
+                }
+            };
+            if let Some(gp) = gp.as_mut() {
+                for (k, o) in gp.row_mut(r).iter_mut().enumerate() {
+                    let gf = gr[k] * f;
+                    let acc = if fresh_p { gf } else { *o + gf };
+                    *o = acc + dcos(k).0;
+                }
+            }
+            if let Some(gx) = gx.as_mut() {
+                for (k, o) in gx.row_mut(r).iter_mut().enumerate() {
+                    let dx = dcos(k).1;
+                    *o = if fresh_x { dx } else { *o + dx };
+                }
+            }
+        }
+        self.nodes[p.0].grad = gp;
+        self.nodes[x0.0].grad = gx;
     }
 }
 

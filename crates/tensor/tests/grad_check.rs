@@ -189,25 +189,51 @@ fn grad_row_cosine() {
 
 #[test]
 fn grad_layer_refinement_composite() {
-    // The exact composite LayerGCN uses per layer:
-    // X' = (cos(ÂX, X0) + eps) ⊙_rows (ÂX).
+    // The exact composite LayerGCN uses per layer, composed and as the
+    // fused op: X' = (cos(ÂX, X0) + eps) ⊙_rows (ÂX).
     let adj = SharedCsr::new(Csr::from_coo(
         3,
         3,
         vec![(0, 1, 0.7), (1, 0, 0.7), (1, 2, 0.7), (2, 1, 0.7)],
     ));
     let x0 = m(3, 2, &[0.5, -1.2, 2.0, 0.3, 1.1, -0.7]);
-    assert_grads_close(
-        &move |t, v| {
-            let prop = t.spmm(&adj, v[0]);
-            let sim = t.row_cosine(prop, v[0], 1e-8);
-            let sim_eps = t.add_scalar(sim, 1e-4);
-            let refined = t.mul_row_broadcast(prop, sim_eps);
-            let sq = t.mul(refined, refined);
-            t.sum(sq)
-        },
-        &[x0],
-    );
+    for fused in [false, true] {
+        let adj = adj.clone();
+        assert_grads_close(
+            &move |t, v| {
+                let prop = t.spmm(&adj, v[0]);
+                let refined = if fused {
+                    t.refine(prop, v[0], 1e-4, 1e-8).0
+                } else {
+                    let sim = t.row_cosine(prop, v[0], 1e-8);
+                    let sim_eps = t.add_scalar(sim, 1e-4);
+                    t.mul_row_broadcast(prop, sim_eps)
+                };
+                let sq = t.mul(refined, refined);
+                t.sum(sq)
+            },
+            std::slice::from_ref(&x0),
+        );
+    }
+}
+
+#[test]
+fn grad_refine() {
+    // The fused refinement of two independent operands, for a positive and
+    // a negative eps. The similarity output is a constant; the gradient
+    // reaches Sim through the refined layer.
+    let p = m(3, 3, &[0.5, -1.2, 2.0, 0.3, 1.1, -0.7, 0.9, 0.8, -0.3]);
+    let x0 = m(3, 3, &[1.5, 0.2, -1.0, 0.9, -0.4, 0.6, -0.2, 1.3, 0.4]);
+    for eps in [1e-4, -0.3] {
+        assert_grads_close(
+            &|t, v| {
+                let (refined, _) = t.refine(v[0], v[1], eps, 1e-8);
+                let sq = t.mul(refined, refined);
+                t.sum(sq)
+            },
+            &[p.clone(), x0.clone()],
+        );
+    }
 }
 
 #[test]
@@ -428,12 +454,12 @@ fn grads_check_out_at_one_and_four_threads() {
 #[test]
 fn gradients_are_bitwise_identical_across_thread_counts() {
     // Stronger than the finite-difference check: the backward pass itself
-    // (spmm + cosine + broadcast composite, the per-layer refinement) must
-    // produce the exact same bits at 1 and 4 threads.
+    // (spmm + the per-layer refinement, composed and fused) must produce
+    // the exact same bits at 1 and 4 threads.
     use lrgcn_tensor::par;
     let _restore = ThreadGuard(par::configured_threads());
 
-    let grad_at = |threads: usize| -> Vec<f32> {
+    let grad_at = |threads: usize, fused: bool| -> Vec<f32> {
         par::set_threads(threads);
         let adj = SharedCsr::new(Csr::from_coo(
             3,
@@ -443,18 +469,24 @@ fn gradients_are_bitwise_identical_across_thread_counts() {
         let mut t = Tape::new();
         let x0 = t.leaf(m(3, 2, &[0.5, -1.2, 2.0, 0.3, 1.1, -0.7]));
         let prop = t.spmm(&adj, x0);
-        let sim = t.row_cosine(prop, x0, 1e-8);
-        let sim_eps = t.add_scalar(sim, 1e-4);
-        let refined = t.mul_row_broadcast(prop, sim_eps);
+        let refined = if fused {
+            t.refine(prop, x0, 1e-4, 1e-8).0
+        } else {
+            let sim = t.row_cosine(prop, x0, 1e-8);
+            let sim_eps = t.add_scalar(sim, 1e-4);
+            t.mul_row_broadcast(prop, sim_eps)
+        };
         let sq = t.mul(refined, refined);
         let loss = t.sum(sq);
         t.backward(loss);
         t.grad(x0).expect("leaf grad").data().to_vec()
     };
 
-    let g1 = grad_at(1);
-    let g4 = grad_at(4);
-    assert_eq!(g1, g4, "backward pass diverges across thread counts");
+    for fused in [false, true] {
+        let g1 = grad_at(1, fused);
+        let g4 = grad_at(4, fused);
+        assert_eq!(g1, g4, "backward pass diverges across thread counts");
+    }
 }
 
 #[test]

@@ -28,8 +28,11 @@
 #      parallel evaluation), the ego-table model tests (`egogcn::`: the
 #      training live view's SpMM rows vs the full graph's, one epoch on
 #      the view vs one over every row, and the evaluation cache's live-view
-#      readout and scores vs the full chain's, bit for bit), the exact
-#      matmul-cell count of a LayerGCN evaluation (`eval_live_cells`) and every
+#      readout and scores vs the full chain's, bit for bit), the fused
+#      refinement op vs the composed row_cosine → add_scalar →
+#      mul_row_broadcast chain on generated inputs, values and gradients bit
+#      for bit (`refine_bitwise`), the exact matmul-cell count of a LayerGCN
+#      evaluation (`eval_live_cells`) and every
 #      serving-engine test (`engine::`: the zero-class suite's live-row
 #      scan vs a full scan, ids and score bits, plus the standby, int8
 #      and IVF engine tests) re-run under
@@ -244,11 +247,12 @@ fi
     || { echo "verify: resume after mid-save kill failed"; exit 1; }
 echo "fault-injection smoke: OK"
 
-echo "==> kernel sweep: golden trajectory, kernel equality, eval, ego-table models, serving engine under every kernel x thread pair"
+echo "==> kernel sweep: golden trajectory, kernel equality, fused refinement, eval, ego-table models, serving engine under every kernel x thread pair"
 for kernel in naive blocked simd; do
     for threads in 1 8; do
         for suite in "-p lrgcn-train --test golden_trajectory" \
-            "-p lrgcn-tensor --test kernel_equality" "-p lrgcn-eval" \
+            "-p lrgcn-tensor --test kernel_equality" "-p lrgcn-tensor --test refine_bitwise" \
+            "-p lrgcn-eval" \
             "-p lrgcn-models --lib egogcn::" "-p lrgcn-models --test eval_live_cells" \
             "-p lrgcn-serve --lib engine::"; do
             # shellcheck disable=SC2086  # $suite is a list of cargo arguments
