@@ -11,7 +11,7 @@
 
 use lrgcn::data::Dataset;
 use lrgcn::eval::beyond::RecAggregate;
-use lrgcn::eval::topk::top_k_indices;
+use lrgcn::eval::topk::top_k_indices_into;
 use lrgcn::eval::{evaluate_ranking, Split};
 use lrgcn::models::{LayerGcn, LayerGcnConfig, LightGcn, LightGcnConfig, Recommender};
 use lrgcn::train::{train_with_early_stopping, TrainConfig};
@@ -24,6 +24,7 @@ const K: usize = 20;
 fn profile(name: &str, ds: &Dataset, mut score: impl FnMut(&[u32]) -> lrgcn::tensor::Matrix) {
     let users = ds.test_users();
     let mut agg = RecAggregate::new();
+    let (mut keys, mut ranked) = (Vec::new(), Vec::new());
     for chunk in users.chunks(256) {
         let mut scores = score(chunk);
         for (r, &u) in chunk.iter().enumerate() {
@@ -31,7 +32,8 @@ fn profile(name: &str, ds: &Dataset, mut score: impl FnMut(&[u32]) -> lrgcn::ten
             for &it in ds.train_items(u) {
                 row[it as usize] = f32::NEG_INFINITY;
             }
-            agg.push(&top_k_indices(row, K));
+            top_k_indices_into(row, K, &mut keys, &mut ranked);
+            agg.push(&ranked);
         }
     }
     let recall = evaluate_ranking(ds, Split::Test, &[K], 256, &mut score).recall(K);

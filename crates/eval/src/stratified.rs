@@ -6,7 +6,7 @@
 //! tail items, or both?
 
 use crate::metrics::recall_at_k;
-use crate::topk::{top_k_indices, Split};
+use crate::topk::{top_k_indices_into, Split};
 use lrgcn_data::Dataset;
 use lrgcn_tensor::Matrix;
 
@@ -62,6 +62,7 @@ pub fn stratified_recall(
     let mut head_n = 0usize;
     let mut tail_sum = 0.0;
     let mut tail_n = 0usize;
+    let (mut keys, mut ranked) = (Vec::new(), Vec::new());
     for chunk in users.chunks(256) {
         let mut scores = score_fn(chunk);
         for (r, &u) in chunk.iter().enumerate() {
@@ -69,7 +70,7 @@ pub fn stratified_recall(
             for &it in ds.train_items(u) {
                 row[it as usize] = f32::NEG_INFINITY;
             }
-            let ranked = top_k_indices(row, k);
+            top_k_indices_into(row, k, &mut keys, &mut ranked);
             let truth = match split {
                 Split::Val => ds.val_items(u),
                 Split::Test => ds.test_items(u),

@@ -85,7 +85,7 @@ pub fn rank_order(a: &(u32, f32), b: &(u32, f32)) -> Ordering {
 /// [`top_k_indices_into`].
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<u32> {
     let mut idx = Vec::new();
-    top_k_indices_into(scores, k, &mut idx);
+    top_k_indices_into(scores, k, &mut Vec::new(), &mut idx);
     idx
 }
 
@@ -95,7 +95,7 @@ const SELECT_CHUNK: usize = 64;
 
 /// Whether score `s` gets past threshold `t` in [`top_k_indices_into`]:
 /// `s > t`, or either one is NaN. Written `s > t` a NaN would be dropped
-/// in silence; the negated form hands it on to [`rank_order`], which
+/// in silence; the negated form hands it on to [`rank_key`], which
 /// panics.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 #[inline]
@@ -103,73 +103,101 @@ fn admits(s: f32, t: f32) -> bool {
     !(s <= t)
 }
 
+/// The candidate `(i, s)` as one integer whose ascending order is
+/// [`rank_order`]: the high half is the complement of `s`'s
+/// order-preserving bit map, so a larger score gives a smaller key, and
+/// the low half is `i`, so an equal score goes to the lower index. The
+/// map flips every bit of a negative float and only the sign bit of a
+/// positive one; it is taken of `s + 0.0`, which turns `-0.0` into
+/// `+0.0`, because the two compare equal and must tie by index.
+///
+/// # Panics
+/// Panics with `"scores must not be NaN"` on a NaN `s`, which
+/// [`rank_order`] cannot place.
+#[inline]
+fn rank_key(i: usize, s: f32) -> u64 {
+    assert!(!s.is_nan(), "scores must not be NaN");
+    let b = (s + 0.0).to_bits();
+    let ordered = b ^ (((b as i32) >> 31) as u32 | 1 << 31);
+    (u64::from(!ordered) << 32) | i as u64
+}
+
 /// Scratch-buffer variant of [`top_k_indices`]: leaves the selected indices
-/// in `idx`, reusing its allocation. Evaluation loops call this once per
-/// user with a per-thread scratch vector, turning `n_users` candidate-index
-/// allocations into one per thread.
+/// in `idx`, using `keys` as working space, and reuses both allocations.
+/// Evaluation loops call this once per user with per-thread buffers, and
+/// the serving engine keeps both in its `Scratch`.
+///
+/// Every candidate is ranked by its [`rank_key`], whose integer order is
+/// [`rank_order`]: `select_nth_unstable` and `sort_unstable` then compare
+/// plain integers, and the indices come back as the keys' low halves.
 ///
 /// One pass with a running threshold `t`, the score of the `k`-th best
 /// candidate known so far (at first, of the first `k` indices). The scan
-/// visits indices in ascending order, so everything already in `idx` has a
+/// visits indices in ascending order, so everything already held has a
 /// lower index than the score `s` under the cursor, and under
 /// [`rank_order`] an equal score loses to the lower index: `s` can enter
 /// the top `k` only if `s > t`, strictly. `s <= t` therefore rejects `s`
 /// for good — `k` candidates that rank ahead of it are already held — and
-/// a chunk in which it holds for every score is skipped without touching
-/// `idx`. The others are appended; at `2k` entries `idx` is cut back to
-/// its best `k` with [`rank_order`] and `t` rises. A stale `t` only admits
-/// too much, never rejects a winner, and the final cut and sort use
-/// [`rank_order`] alone, so the output is that of sorting every index.
+/// a 64-wide chunk in which it holds for every score is skipped without
+/// touching `keys`. In any other chunk admission is branch-free: each
+/// score's key is written at the end and the end advances by
+/// `admits(s, t)`. After the chunk, at `2k` keys or more, `keys` is cut
+/// back to its best `k` and `t` rises. A stale `t` only admits too much,
+/// never rejects a winner, and the final cut and sort are on the keys
+/// alone, so the output is that of sorting every index by [`rank_order`].
 ///
 /// # Panics
 /// Panics with `"scores must not be NaN"` on a NaN score, as sorting every
-/// index would: the test is `!(s <= t)`, which a NaN on either side gets
-/// past, and every index that does meets [`rank_order`].
-pub fn top_k_indices_into(scores: &[f32], k: usize, idx: &mut Vec<u32>) {
+/// index would: the chunk test is `!(s <= t)`, which a NaN gets past
+/// (`t` is never NaN: it is a held key's score), and every score of a
+/// chunk that gets past, admitted or not, and every one of the first `k`,
+/// goes through [`rank_key`].
+pub fn top_k_indices_into(scores: &[f32], k: usize, keys: &mut Vec<u64>, idx: &mut Vec<u32>) {
     idx.clear();
+    keys.clear();
     let k = k.min(scores.len());
     if k == 0 {
         return;
     }
-    let by_rank =
-        |a: &u32, b: &u32| rank_order(&(*a, scores[*a as usize]), &(*b, scores[*b as usize]));
-    idx.extend(0..k as u32);
+    keys.extend(scores[..k].iter().enumerate().map(|(i, &s)| rank_key(i, s)));
     if k < scores.len() {
-        let worst = *idx.iter().max_by(|a, b| by_rank(a, b)).expect("k > 0");
-        let mut t = scores[worst as usize];
+        let score = |key: u64| scores[key as u32 as usize];
+        let mut t = score(*keys.iter().max().expect("k > 0"));
         let mut base = k;
+        let mut chunk_keys = [0u64; SELECT_CHUNK];
         for chunk in scores[k..].chunks(SELECT_CHUNK) {
             // No early exit inside the chunk: a plain OR-reduction is what
             // the compiler vectorises.
             if chunk.iter().fold(false, |hit, &s| hit | admits(s, t)) {
+                let mut n = 0;
                 for (off, &s) in chunk.iter().enumerate() {
-                    if admits(s, t) {
-                        idx.push((base + off) as u32);
-                        if idx.len() == 2 * k {
-                            idx.select_nth_unstable_by(k - 1, by_rank);
-                            idx.truncate(k);
-                            t = scores[idx[k - 1] as usize];
-                        }
-                    }
+                    chunk_keys[n] = rank_key(base + off, s);
+                    n += admits(s, t) as usize;
+                }
+                keys.extend_from_slice(&chunk_keys[..n]);
+                if keys.len() >= 2 * k {
+                    keys.select_nth_unstable(k - 1);
+                    keys.truncate(k);
+                    t = score(keys[k - 1]);
                 }
             }
             base += chunk.len();
         }
-        if idx.len() > k {
-            idx.select_nth_unstable_by(k - 1, by_rank);
-            idx.truncate(k);
+        if keys.len() > k {
+            keys.select_nth_unstable(k - 1);
+            keys.truncate(k);
         }
     }
-    idx.sort_by(by_rank);
+    keys.sort_unstable();
+    idx.extend(keys.iter().map(|&key| key as u32));
 }
 
 /// [`top_k_indices`] paired with the winning scores — the shape a serving
 /// response needs. `-inf` entries (masked training items) are dropped from
 /// the result rather than returned as recommendations.
 pub fn top_k_with_scores(scores: &[f32], k: usize) -> Vec<(u32, f32)> {
-    let mut idx = Vec::new();
-    top_k_indices_into(scores, k, &mut idx);
-    idx.into_iter()
+    top_k_indices(scores, k)
+        .into_iter()
         .map(|i| (i, scores[i as usize]))
         .filter(|(_, s)| *s != f32::NEG_INFINITY)
         .collect()
@@ -218,15 +246,16 @@ fn chunk_metric_tuples(
             }
         }
     });
-    // Pass 2: rank and score metrics, row-parallel over users, one ranking
-    // scratch buffer per thread.
+    // Pass 2: rank and score metrics, row-parallel over users, one pair of
+    // ranking buffers per thread.
     let kw = ks.len();
     let scores = &*scores;
     par::par_row_chunks_mut(out, kw, threads, |start_row, block| {
+        let mut keys: Vec<u64> = Vec::new();
         let mut scratch: Vec<u32> = Vec::new();
         for (r, trow) in block.chunks_exact_mut(kw).enumerate() {
             let u = chunk[start_row + r];
-            top_k_indices_into(scores.row(start_row + r), max_k, &mut scratch);
+            top_k_indices_into(scores.row(start_row + r), max_k, &mut keys, &mut scratch);
             let truth = match split {
                 Split::Val => ds.val_items(u),
                 Split::Test => ds.test_items(u),

@@ -139,6 +139,8 @@ const RECALL_K: usize = 20;
 #[derive(Default)]
 pub struct Scratch {
     scores: Vec<f32>,
+    /// The select's working keys (`top_k_indices_into`).
+    keys: Vec<u64>,
     idx: Vec<u32>,
     qbuf: Vec<i8>,
     /// Probed IVF cell ids (ANN path only).
@@ -625,6 +627,7 @@ impl EngineState {
         }
         let Scratch {
             scores,
+            keys,
             idx,
             qbuf,
             cells,
@@ -696,7 +699,7 @@ impl EngineState {
         } else {
             k
         };
-        top_k_indices_into(scores, width, idx);
+        top_k_indices_into(scores, width, keys, idx);
         let mut out: Vec<(u32, f32)> = idx
             .iter()
             .map(|&i| i as usize)
@@ -796,7 +799,7 @@ impl EngineState {
                 scores[it as usize] = f32::NEG_INFINITY;
             }
         }
-        top_k_indices_into(scores, k, &mut scratch.idx);
+        top_k_indices_into(scores, k, &mut scratch.keys, &mut scratch.idx);
         scratch
             .idx
             .iter()

@@ -4,7 +4,9 @@
 #   2. full workspace tests, swept at LRGCN_THREADS=1 and LRGCN_THREADS=8 —
 #      kernels are contractually bitwise identical across thread counts, so
 #      the golden-trajectory and determinism suites must pass at both; any
-#      numeric divergence prints "numeric drift detected" and fails the grep
+#      numeric divergence prints "numeric drift detected" and fails the grep;
+#      this includes the generated-input property suites of lrgcn-eval and
+#      lrgcn-data (fixed splitmix64 seeds)
 #   3. clippy with warnings denied
 #   4. observability smoke: a seeded 2-epoch CLI run with --log-json and
 #      --trace must leave a parseable JSONL log and Chrome trace, and
@@ -24,11 +26,14 @@
 #      loadable by `lrgcn evaluate --load`, plus a kill-mid-save + resume
 #      round-trip
 #   8. kernel sweep: the golden-trajectory suite, the tensor crate's
-#      kernel_equality suite, the eval crate's tests (top-K select,
-#      parallel evaluation), the ego-table model tests (`egogcn::`: the
-#      training live view's SpMM rows vs the full graph's, one epoch on
-#      the view vs one over every row, and the evaluation cache's live-view
-#      readout and scores vs the full chain's, bit for bit), the fused
+#      kernel_equality suite, the eval crate's tests (`topk_select`: the
+#      packed-key top-K select vs a full sort, ±0.0 and subnormals at the
+#      threshold, ties across chunk edges, k = n - 1 and n, a mostly-zero
+#      50,000-item row, NaN refusal; parallel evaluation), the ego-table
+#      model tests (`egogcn::`: the training live view's SpMM rows vs the
+#      full graph's, one epoch on the view vs one over every row, and the
+#      evaluation cache's live-view readout and scores vs the full chain's,
+#      bit for bit), the fused
 #      refinement op vs the composed row_cosine → add_scalar →
 #      mul_row_broadcast chain on generated inputs, values and gradients bit
 #      for bit (`refine_bitwise`), the exact matmul-cell count of a LayerGCN
@@ -247,7 +252,7 @@ fi
     || { echo "verify: resume after mid-save kill failed"; exit 1; }
 echo "fault-injection smoke: OK"
 
-echo "==> kernel sweep: golden trajectory, kernel equality, fused refinement, eval, ego-table models, serving engine under every kernel x thread pair"
+echo "==> kernel sweep: golden trajectory, kernel equality, fused refinement, eval (topk_select packed-key select, parallel_eval), ego-table models, serving engine under every kernel x thread pair"
 for kernel in naive blocked simd; do
     for threads in 1 8; do
         for suite in "-p lrgcn-train --test golden_trajectory" \
